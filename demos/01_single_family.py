@@ -29,7 +29,7 @@ print(f"degree status     {kawamata_status(a3, acz12)}")
 
 # The Hilbert series sum h^0(nA) t^n, exact integer coefficients.
 series = hilbert_series(basket, genus, cutoff=60)
-print(f"series            {', '.join(str(c) for c in series.prefix(12))}, ...")
+print(f"series            {', '.join(str(c) for c in series[:13])}, ...")
 
 # Reading generators off the series recovers a weighted hypersurface.
 model = corrected_inference(series, basket)

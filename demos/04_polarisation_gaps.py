@@ -30,7 +30,7 @@ print(f"corrected weights   {model.weights}  -> codim {model.codim}")
 # and the 1/9 point still needs weights hitting 0 and 8 mod 9.
 basket = parse_basket("9/1")
 series = hilbert_series(basket, 1, cutoff=60)
-print(f"\nindex-9 series      {', '.join(str(c) for c in series.prefix(6))}, ...")
+print(f"\nindex-9 series      {', '.join(str(c) for c in series[:7])}, ...")
 model = corrected_inference(series, basket)
 print(f"corrected weights   {model.weights}  (seeded {model.seeded})")
 print(f"codimension         >= {model.codim}")

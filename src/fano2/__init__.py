@@ -62,7 +62,6 @@ from .series import (
     DEFAULT_CUTOFF,
     NonIntegerSeriesError,
     RationalForm,
-    TruncatedSeries,
     WrongPoleOrderError,
     degree_from_form,
     expand,

@@ -29,7 +29,7 @@ from .riemann_roch import (
     polarisation_residual,
     STABLE,
 )
-from .series import DEFAULT_CUTOFF, TruncatedSeries
+from .series import DEFAULT_CUTOFF, Series
 
 #: A basket whose singular rank reaches this bound cannot carry a K3
 #: elephant: that many exceptional (-2)-curves plus the polarisation class
@@ -59,13 +59,13 @@ class Candidate:
     a3: Fraction
     acz12: Fraction
     stable: bool
-    series: TruncatedSeries
+    series: Series
     k3_obstructed: bool
 
 
 def anticanonical_sections(c: Candidate) -> int:
     """h^0(-K) = h^0(2A), the coefficient of t^2; always >= 1."""
-    return int(c.series[2])
+    return c.series[2]
 
 
 def k3_obstruction(c: Candidate) -> bool:
@@ -124,7 +124,7 @@ def distinct_series_count(candidates: Iterable[Candidate]) -> int:
     Candidates are (basket, genus) pairs; this counts the series
     themselves in case two pairs ever produce the same expansion (none do
     at the default cutoff, so both counts are reported equal)."""
-    return len({c.series.coeffs for c in candidates})
+    return len({c.series for c in candidates})
 
 
 @dataclass(frozen=True)
@@ -175,10 +175,10 @@ def candidate_record(c: Candidate) -> dict:
         "A3": str(c.a3),
         "Ac2_over_12": str(c.acz12),
         "stable": c.stable,
-        "h0_A": int(c.series[1]),
-        "h0_2A": int(c.series[2]),
+        "h0_A": c.series[1],
+        "h0_2A": c.series[2],
         "k3_obstructed": c.k3_obstructed,
-        "series": list(c.series.integer_coeffs()),
+        "series": list(c.series),
     }
 
 
@@ -191,7 +191,7 @@ def candidate_from_record(record: dict) -> Candidate:
         a3=Fraction(record["A3"]),
         acz12=Fraction(record["Ac2_over_12"]),
         stable=bool(record["stable"]),
-        series=TruncatedSeries.from_ints(record["series"]),
+        series=tuple(record["series"]),
         k3_obstructed=bool(record["k3_obstructed"]),
     )
 
@@ -232,6 +232,6 @@ def candidate_from_csv_row(row: Sequence[str]) -> Candidate:
         a3=Fraction(row[2]),
         acz12=Fraction(row[3]),
         stable=row[4] == "True",
-        series=TruncatedSeries.from_ints(int(x) for x in row[8].split()),
+        series=tuple(int(x) for x in row[8].split()),
         k3_obstructed=row[7] == "True",
     )

@@ -36,10 +36,12 @@ from .classify import (
 )
 from .graded_rings import (
     REFERENCE_CODIM_COUNTS,
+    CutoffExhaustedError,
     codim_histogram,
     corrected_inference,
 )
 from .riemann_roch import (
+    BasketBoundError,
     NonpositiveDegreeError,
     STABLE,
     acz12_from_basket,
@@ -137,7 +139,7 @@ def _candidate_line(c: Candidate) -> str:
     return (
         f"{basket:24s} g={c.genus:<3d} A3={c.a3!s:8s} "
         f"Ac2/12={c.acz12!s:8s} {'stable' if c.stable else 'unstable':8s} "
-        f"h0(A)={int(c.series[1]):<3d} h0(2A)={int(c.series[2]):<4d} "
+        f"h0(A)={c.series[1]:<3d} h0(2A)={c.series[2]:<4d} "
         f"K3-obstructed={'yes' if c.k3_obstructed else 'no'}"
     )
 
@@ -178,7 +180,12 @@ def cmd_inspect(config: RunConfig) -> int:
         print(f"error: genus below -2 (got {config.genus}); "
               "no candidate has fewer than 0 sections of A", file=sys.stderr)
         return 2
-    if polarisation_residual(basket) != 0:
+    try:
+        residual = polarisation_residual(basket)
+    except BasketBoundError as exc:
+        print(f"error: inadmissible basket [{basket}]: {exc}", file=sys.stderr)
+        return 1
+    if residual != 0:
         print(f"error: inadmissible basket [{basket}]: polarisation "
               "residual is nonzero", file=sys.stderr)
         return 1
@@ -220,7 +227,7 @@ def cmd_inspect(config: RunConfig) -> int:
         f"status:      {kawamata_status(a3, acz12)}",
         f"singular rank: {basket.singular_rank}"
         + ("  (no K3 elephant)" if basket.singular_rank >= K3_RANK_BOUND else ""),
-        f"series:      {', '.join(str(x) for x in series.prefix(min(12, series.cutoff)))}, ...",
+        f"series:      {', '.join(str(x) for x in series[:13])}, ...",
         f"weights:     {','.join(str(w) for w in model.weights)}"
         + (f"  (seeded by polarisation: {model.seeded})" if model.seeded else ""),
         f"numerator:   {poly_str(model.numerator)}"
@@ -357,6 +364,9 @@ def main(argv=None) -> int:
             return cmd_k3_obstructions(config)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except CutoffExhaustedError as exc:
+        print(f"error: {exc}; raise --cutoff", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {config.command}")
 

@@ -25,7 +25,8 @@ from typing import Sequence
 
 from .basket import Basket
 from .series import (
-    TruncatedSeries,
+    IntPoly,
+    Series,
     one_minus_t,
     palindromy_sign,
     poly,
@@ -84,7 +85,7 @@ class GradedModel:
 
 
 def _greedy(
-    series: TruncatedSeries, seeded: Sequence[int] = ()
+    series: Series, seeded: Sequence[int] = ()
 ) -> tuple[tuple[int, ...], tuple[int, ...], bool]:
     """One pass of the greedy loop, honouring pre-seeded weights.
 
@@ -92,7 +93,7 @@ def _greedy(
     the truncated product series * prod (1 - t^w), trimmed; completeness
     is the trailing-window check.
     """
-    cutoff = series.cutoff
+    cutoff = len(series) - 1
     if series[0] != 1:
         raise ValueError("a Hilbert series must start with coefficient 1")
     q = series_times_weights(series, seeded)
@@ -105,25 +106,23 @@ def _greedy(
             continue
         if c < 0:
             break  # first relation: stop adding generators
-        if c.denominator != 1:
-            raise ValueError(f"non-integer coefficient {c} at degree {d}")
         if d == cutoff:
             raise CutoffExhaustedError(
                 f"still adding generators at the cutoff {cutoff}"
             )
-        for _ in range(int(c)):
+        for _ in range(c):
             for k in range(cutoff, d - 1, -1):
                 q[k] -= q[k - d]
             weights.append(d)
         # q[d] is now zero and lower coefficients were never touched
     window = max(weights, default=0)
     complete = all(q[k] == 0 for k in range(cutoff - window + 1, cutoff + 1))
-    numerator = poly(int(x) for x in q)
+    numerator = poly(q)
     return tuple(sorted(weights)), numerator, complete
 
 
 def infer_generators(
-    series: TruncatedSeries,
+    series: Series,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Greedy minimal-generator inference; returns (weights, numerator)."""
     weights, numerator, _ = _greedy(series)
@@ -151,7 +150,7 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
     return gaps
 
 
-def corrected_inference(series: TruncatedSeries, basket: Basket) -> GradedModel:
+def corrected_inference(series: Series, basket: Basket) -> GradedModel:
     """Generator inference with the basket's polarisation enforced.
 
     Runs the greedy loop, fills residue gaps by seeding their minimal
@@ -184,6 +183,21 @@ def corrected_inference(series: TruncatedSeries, basket: Basket) -> GradedModel:
     )
 
 
+def pfaffian_numerator(degrees: Sequence[int]) -> IntPoly:
+    """1 - sum t^e_i + sum t^(k - e_i) - t^k for k = sum(e)/2."""
+    total = sum(degrees)
+    if total % 2 != 0:
+        raise ValueError("Pfaffian degrees must have even sum")
+    k = total // 2
+    c = [0] * (k + 1)
+    c[0] = 1
+    c[k] -= 1
+    for e in degrees:
+        c[e] -= 1
+        c[k - e] += 1
+    return poly(c)
+
+
 def pfaffian_degrees_of(numerator: Sequence[int]) -> tuple[int, ...] | None:
     """Recover (e_1..e_5) if the numerator matches the 5x5-Pfaffian
     pattern 1 - sum t^e_i + sum t^(k - e_i) - t^k with k = sum(e)/2."""
@@ -199,13 +213,7 @@ def pfaffian_degrees_of(numerator: Sequence[int]) -> tuple[int, ...] | None:
             degrees.extend([d] * (-num[d]))
     if len(degrees) != 5 or sum(degrees) != 2 * k:
         return None
-    rebuilt = [0] * (k + 1)
-    rebuilt[0] = 1
-    rebuilt[k] -= 1
-    for e in degrees:
-        rebuilt[e] -= 1
-        rebuilt[k - e] += 1
-    if tuple(rebuilt) != num:
+    if pfaffian_numerator(degrees) != num:
         return None
     return tuple(degrees)
 

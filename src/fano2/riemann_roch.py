@@ -24,12 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .basket import Basket, SingularityType
 from .series import (
     DEFAULT_CUTOFF,
+    NonIntegerSeriesError,
     RationalForm,
-    TruncatedSeries,
+    Series,
     _div_one_minus_tw,
     expand,
 )
@@ -122,8 +124,16 @@ def kawamata_status(a3: Fraction, acz12: Fraction) -> str:
     return REJECTED
 
 
+def _scaled(x: Fraction, d: int) -> int:
+    """x * d as an integer; raises when d does not clear x's denominator."""
+    y = x * d
+    if y.denominator != 1:
+        raise NonIntegerSeriesError(f"{x} times {d} is not an integer")
+    return y.numerator
+
+
 @cache
-def _unit_series(cutoff: int) -> tuple[TruncatedSeries, ...]:
+def _unit_series(cutoff: int) -> tuple[Series, ...]:
     """Expansions of 1/(1-t), t/(1-t)^4 and t/(1-t)^2 up to cutoff."""
     return (
         expand(RationalForm((1,), (1,)), cutoff),
@@ -133,24 +143,28 @@ def _unit_series(cutoff: int) -> tuple[TruncatedSeries, ...]:
 
 
 @cache
-def _periodic_series(s: SingularityType, cutoff: int) -> TruncatedSeries:
-    """c_P(t): the finite sum per(s, k) t^k for k = 1..r-1, divided by
-    (1 - t^r) using the series recurrence."""
-    c = [Fraction(0)] * (cutoff + 1)
+def _periodic_series(s: SingularityType, cutoff: int) -> Series:
+    """24 r c_P(t): the finite sum per(s, k) t^k for k = 1..r-1, divided
+    by (1 - t^r) using the series recurrence.  Every per(s, k) has a
+    denominator dividing 24 r, so the scaled series is integral."""
+    c = [0] * (cutoff + 1)
     for k in range(1, min(s.r - 1, cutoff) + 1):
-        c[k] = periodic_term(s, k)
+        c[k] = _scaled(periodic_term(s, k), 24 * s.r)
     _div_one_minus_tw(c, s.r)
-    return TruncatedSeries(tuple(c))
+    return tuple(c)
 
 
 def hilbert_series(
     basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
-) -> TruncatedSeries:
+) -> Series:
     """The Hilbert series sum h^0(nA) t^n truncated at cutoff.
 
     Assembled as 1/(1-t) + A^3 t/(1-t)^4 + (Ac2/12) t/(1-t)^2 + sum c_P(t)
-    with A^3 = base_degree + genus + 2.  The coefficients must come out as
-    non-negative integers; integrality is asserted here, positivity is a
+    with A^3 = base_degree + genus + 2.  Every term is scaled by
+    D = 24 lcm(r), which clears the denominators of A^3, Ac2/12 and each
+    periodic term, and the integer sum is divided by D once.  That exact
+    division is the integrality check: a remainder raises
+    :class:`NonIntegerSeriesError`.  Positivity of the coefficients is a
     consequence checked by the test suite.
     """
     acz12 = acz12_from_basket(basket)
@@ -160,12 +174,24 @@ def hilbert_series(
         raise NonpositiveDegreeError(
             f"A^3 = {a3} <= 0 for basket [{basket}] at genus {genus}"
         )
+    d = 24 * lcm(*(s.r for s in basket))
+    a3_d, acz12_d = _scaled(a3, d), _scaled(acz12, d)
     ones, deg_part, ac_part = _unit_series(cutoff)
-    total = ones + a3 * deg_part + acz12 * ac_part
+    total = [d * x + a3_d * y + acz12_d * z
+             for x, y, z in zip(ones, deg_part, ac_part)]
     for s in basket:
-        total = total + _periodic_series(s, cutoff)
-    total.integer_coeffs()  # RR integrality must hold exactly
-    return total
+        m = d // (24 * s.r)
+        for k, x in enumerate(_periodic_series(s, cutoff)):
+            total[k] += m * x
+    out = []
+    for k, x in enumerate(total):
+        q, rem = divmod(x, d)
+        if rem:
+            raise NonIntegerSeriesError(
+                f"non-integer coefficient at degree {k}: {Fraction(x, d)}"
+            )
+        out.append(q)
+    return tuple(out)
 
 
 def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:

@@ -1,19 +1,22 @@
 """Exact arithmetic for integer polynomials, truncated power series, and
 closed rational forms N(t) / prod_w (1 - t^w).
 
-Three representations are used throughout the package:
+Three representations are used throughout the package, all on Python
+integers:
 
-* a polynomial is a dense tuple of integer coefficients, constant term
-  first, with no trailing zeros;
-* :class:`TruncatedSeries` holds exact rational coefficients for degrees
-  ``0..cutoff``;
+* a polynomial (:data:`IntPoly`) is a dense tuple of integer
+  coefficients, constant term first, with no trailing zeros;
+* a truncated series (:data:`Series`) is a dense tuple of the integer
+  coefficients for degrees ``0..cutoff``, so ``len(series) == cutoff + 1``
+  and trailing zeros are kept;
 * :class:`RationalForm` is the closed form ``N(t) / prod_w (1 - t^w)``.
 
 Each factor ``1 - t^w`` is a unit in the formal power-series ring, so a
 form expands to any cutoff, and multiplying a series back by
 ``prod (1 - t^w)`` recovers the numerator whenever the cutoff leaves
-enough headroom above the numerator degree.  Everything is exact
-rational arithmetic; no floating point appears anywhere.
+enough headroom above the numerator degree.  The only rational value
+here is the degree of a form (:func:`degree_from_form`); no floating
+point appears anywhere.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import Iterable, Sequence
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]
+Series = tuple[int, ...]
 
 
 class CutoffTooSmallError(ValueError):
@@ -141,99 +145,16 @@ def palindromy_sign(p: Sequence[int], top_degree: int) -> int | None:
 # truncated power series
 
 
-def _mul_one_minus_tw(c: list[Fraction], w: int) -> None:
+def _mul_one_minus_tw(c: list[int], w: int) -> None:
     """In place: multiply the coefficient vector by (1 - t^w)."""
     for k in range(len(c) - 1, w - 1, -1):
         c[k] -= c[k - w]
 
 
-def _div_one_minus_tw(c: list[Fraction], w: int) -> None:
+def _div_one_minus_tw(c: list[int], w: int) -> None:
     """In place: multiply by the unit 1 / (1 - t^w)."""
     for k in range(w, len(c)):
         c[k] += c[k - w]
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Exact coefficients of a power series for degrees 0..cutoff.
-
-    Coefficients are stored as Fractions even when the series is integral;
-    :meth:`integer_coeffs` is the assertion layer that certifies (and
-    returns) integer values.
-    """
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs:
-            raise ValueError("a truncated series needs at least degree 0")
-
-    @property
-    def cutoff(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.coeffs[n]
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if self.cutoff != other.cutoff:
-            raise ValueError("cutoff mismatch in series addition")
-        return TruncatedSeries(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            if self.cutoff != other.cutoff:
-                raise ValueError("cutoff mismatch in series product")
-            n = self.cutoff
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return TruncatedSeries(tuple(out))
-        return TruncatedSeries(tuple(c * other for c in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def mul_poly(self, p: Sequence[int]) -> "TruncatedSeries":
-        """Truncated product with a polynomial (exact up to the cutoff)."""
-        c = list(self.coeffs)
-        n = self.cutoff
-        out = [Fraction(0)] * (n + 1)
-        for i, pi in enumerate(p):
-            if pi == 0 or i > n:
-                continue
-            for k in range(i, n + 1):
-                out[k] += pi * c[k - i]
-        return TruncatedSeries(tuple(out))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """Coefficients as ints; raises if any denominator survives."""
-        bad = [k for k, c in enumerate(self.coeffs) if c.denominator != 1]
-        if bad:
-            raise NonIntegerSeriesError(
-                f"non-integer coefficient at degree {bad[0]}: {self.coeffs[bad[0]]}"
-            )
-        return tuple(int(c) for c in self.coeffs)
-
-    def prefix(self, n: int) -> tuple[int, ...]:
-        """Integer coefficients for degrees 0..n (n must be <= cutoff)."""
-        return self.integer_coeffs()[: n + 1]
-
-    @classmethod
-    def from_ints(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
-        return cls(tuple(Fraction(c) for c in coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +190,7 @@ class RationalForm:
         return f"{num} / {den}" if den else num
 
 
-def expand(form: RationalForm, cutoff: int) -> TruncatedSeries:
+def expand(form: RationalForm, cutoff: int) -> Series:
     """Taylor coefficients 0..cutoff of the form, computed exactly.
 
     Division by each (1 - t^w) is the linear recurrence c[k] += c[k-w],
@@ -277,22 +198,22 @@ def expand(form: RationalForm, cutoff: int) -> TruncatedSeries:
     """
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    c = [Fraction(x) for x in form.numerator[: cutoff + 1]]
-    c += [Fraction(0)] * (cutoff + 1 - len(c))
+    c = list(form.numerator[: cutoff + 1])
+    c += [0] * (cutoff + 1 - len(c))
     for w in form.denom_weights:
         _div_one_minus_tw(c, w)
-    return TruncatedSeries(tuple(c))
+    return tuple(c)
 
 
 def series_times_weights(
-    series: TruncatedSeries, weights: Sequence[int]
-) -> list[Fraction]:
+    series: Series, weights: Sequence[int]
+) -> list[int]:
     """Coefficients of series * prod_w (1 - t^w), exact up to the cutoff.
 
     Multiplying a truncated series by a polynomial only reaches downward,
     so every returned coefficient is exact.
     """
-    c = list(series.coeffs)
+    c = list(series)
     for w in weights:
         if w < 1:
             raise ValueError("weights must be positive")
@@ -301,7 +222,7 @@ def series_times_weights(
 
 
 def numerator_wrt_weights(
-    series: TruncatedSeries, weights: Sequence[int]
+    series: Series, weights: Sequence[int]
 ) -> IntPoly:
     """Rewrite a series over the denominator prod_w (1 - t^w).
 
@@ -311,16 +232,14 @@ def numerator_wrt_weights(
     """
     c = series_times_weights(series, weights)
     window = max(weights, default=0)
-    cut = series.cutoff
+    cut = len(series) - 1
     for k in range(cut - window + 1, cut + 1):
         if c[k] != 0:
             raise CutoffTooSmallError(
                 f"nonzero coefficient at degree {k} within {window} of the "
                 f"cutoff {cut}; numerator may be incomplete"
             )
-    if any(x.denominator != 1 for x in c):
-        raise NonIntegerSeriesError("numerator has non-integer coefficients")
-    return poly(int(x) for x in c)
+    return poly(c)
 
 
 def degree_from_form(form: RationalForm) -> Fraction:

@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .basket import Basket, parse_basket
-from .graded_rings import corrected_inference
+from .graded_rings import corrected_inference, pfaffian_numerator
 from .riemann_roch import acz12_from_basket, base_degree, hilbert_series
 from .series import (
     DEFAULT_CUTOFF,
@@ -36,7 +36,6 @@ from .series import (
     numerator_wrt_weights,
     one_minus_t,
     palindromy_sign,
-    poly,
     poly_degree,
     poly_mul,
 )
@@ -114,21 +113,6 @@ def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
             )
         )
     return tuple(entries)
-
-
-def pfaffian_numerator(degrees: tuple[int, ...]) -> IntPoly:
-    """1 - sum t^e_i + sum t^(k - e_i) - t^k for k = sum(e)/2."""
-    total = sum(degrees)
-    if total % 2 != 0:
-        raise ValueError("Pfaffian degrees must have even sum")
-    k = total // 2
-    c = [0] * (k + 1)
-    c[0] = 1
-    c[k] -= 1
-    for e in degrees:
-        c[e] -= 1
-        c[k - e] += 1
-    return poly(c)
 
 
 def model_numerator(entry: TableEntry) -> IntPoly | None:

@@ -194,7 +194,7 @@ def test_c10_case_studies():
     b9 = parse_basket("9/1")
     s9 = hilbert_series(b9, 1, 60)
     m9 = corrected_inference(s9, b9)
-    ok9 = s9.prefix(6) == (1, 3, 8, 17, 32, 54, 85) and m9.codim >= 4
+    ok9 = s9[:7] == (1, 3, 8, 17, 32, 54, 85) and m9.codim >= 4
 
     b11 = parse_basket("11/2")
     m11 = corrected_inference(hilbert_series(b11, -1, 60), b11)
@@ -209,8 +209,13 @@ def test_c10_case_studies():
 def test_c11_integrality_suite(candidates):
     bad = []
     for c in candidates:
-        coeffs = c.series.integer_coeffs()  # raises if non-integral
-        if coeffs[0] != 1 or coeffs[1] != c.genus + 2 or any(x < 0 for x in coeffs):
+        coeffs = c.series
+        if (
+            any(type(x) is not int for x in coeffs)
+            or coeffs[0] != 1
+            or coeffs[1] != c.genus + 2
+            or any(x < 0 for x in coeffs)
+        ):
             bad.append(c)
     check(
         "criterion 11: all series are non-negative integer with c0=1, c1=g+2",

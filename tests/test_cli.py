@@ -1,12 +1,19 @@
 """Command-line behaviour: formats, footers, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 from io import StringIO
 
 import pytest
 
 from fano2.cli import main
+
+#: SHA-256 of ``enumerate --format json``: "same results" across
+#: refactors means this exact byte stream.
+ENUMERATE_JSON_SHA256 = (
+    "71b10a8b503a80d79d6313b51521dbc7714151566b705fae32d3471e6a582731"
+)
 
 
 def run(capsys, *argv):
@@ -47,6 +54,11 @@ class TestEnumerate:
             "basket", "genus", "A3", "Ac2_over_12", "stable",
             "h0_A", "h0_2A", "k3_obstructed", "series",
         ]
+
+    def test_json_output_pinned(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_JSON_SHA256
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate")
@@ -92,6 +104,24 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--basket", "", "--genus", "-2")
         assert code == 1
         assert "degree not positive" in err
+
+    def test_overweight_basket_exit_1(self, capsys):
+        # load exactly 24 leaves A c2 = 0
+        code, out, err = run(capsys, "inspect", "--basket", "9x3/1", "--genus", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: inadmissible basket [9x3/1]")
+        assert len(err.splitlines()) == 1
+
+    def test_small_cutoff_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "inspect", "--basket", "9/1", "--genus", "1", "--cutoff", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: still adding generators at the cutoff 3; raise --cutoff\n"
+        )
 
     def test_json_payload(self, capsys):
         code, out, _ = run(
@@ -144,6 +174,14 @@ class TestHistogram:
         assert row1[2] == "8"  # reference codimension-1 count
         sums = next(l.split() for l in lines if l.split()[0] == "sum")
         assert sums[2] == "1319"
+
+    def test_small_cutoff_exit_1(self, capsys):
+        code, out, err = run(capsys, "histogram", "--by", "codim", "--cutoff", "5")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: still adding generators at the cutoff 5; raise --cutoff\n"
+        )
 
     def test_genus_csv(self, capsys):
         code, out, _ = run(capsys, "histogram", "--by", "genus", "--format", "csv")

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from fano2 import riemann_roch
 from fano2.basket import Basket, SingularityType, enumerate_baskets, parse_basket
 from fano2.riemann_roch import (
     BasketBoundError,
@@ -20,7 +21,7 @@ from fano2.riemann_roch import (
     plurigenus,
     polarisation_residual,
 )
-from fano2.series import RationalForm, expand
+from fano2.series import NonIntegerSeriesError, RationalForm, expand
 
 
 TRIPLE = parse_basket("3/1,5/1,11/3")
@@ -114,7 +115,7 @@ class TestHilbertSeries:
     def test_cubic_binomial_identity(self):
         # Nonsingular genus-3 candidate: h^0(nA) = C(n+4,4) - C(n+1,4).
         series = hilbert_series(Basket(), 3, 60)
-        assert series.prefix(3) == (1, 5, 15, 34)
+        assert series[:4] == (1, 5, 15, 34)
         for n in range(61):
             assert series[n] == comb(n + 4, 4) - comb(n + 1, 4)
 
@@ -122,10 +123,20 @@ class TestHilbertSeries:
         with pytest.raises(NonpositiveDegreeError):
             hilbert_series(Basket(), -2)
 
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 7)])
+    def test_degree_off_the_lattice_is_not_integral(self, monkeypatch, base):
+        # A^3 outside base_degree + Z: 1/2 survives the scaling by
+        # D = 24 and is caught by the exact division; 1/7 is not cleared
+        # by D at all.
+        monkeypatch.setattr(riemann_roch, "base_degree", lambda basket: base)
+        with pytest.raises(NonIntegerSeriesError):
+            hilbert_series(Basket(), 0, 10)
+
     def test_coefficients_are_integral_and_counted(self):
         for text, genus in (("3/1", 5), ("21/10", 0), ("5/2,7/1", -1)):
             series = hilbert_series(parse_basket(text), genus, 40)
-            coeffs = series.integer_coeffs()
+            coeffs = series
+            assert all(type(c) is int for c in coeffs)
             assert coeffs[0] == 1
             assert coeffs[1] == genus + 2
             assert all(c >= 0 for c in coeffs)
@@ -151,6 +162,18 @@ class TestPlurigenus:
             series = hilbert_series(basket, genus, 45)
             for n in range(46):
                 assert series[n] == plurigenus(basket, a3, n)
+
+    def test_two_route_equality_on_every_candidate(self, candidates):
+        # The whole enumeration, degrees 0..60: the assembled series and
+        # the term-wise chi share nothing but periodic_term.
+        assert len(candidates) == 1492
+        bad = [
+            (str(c.basket), c.genus, n)
+            for c in candidates
+            for n in range(61)
+            if c.series[n] != plurigenus(c.basket, c.a3, n)
+        ]
+        assert not bad, bad[:5]
 
     def test_anticanonical_sections_of_largest_degree(self):
         # chi(2A) for the nonsingular degree-9 candidate.

@@ -53,17 +53,17 @@ class TestExpand:
             for k in range(7)
         )
         assert expected == (1, 0, 1, 1, 1, 2, 2)
-        assert series.integer_coeffs() == expected
+        assert series == expected
 
     def test_geometric_series(self):
-        assert expand(RationalForm((1,), (1,)), 3).integer_coeffs() == (1, 1, 1, 1)
+        assert expand(RationalForm((1,), (1,)), 3) == (1, 1, 1, 1)
 
     def test_codim2_form_counts_sections_of_a(self):
         # (1-t^4)^2 / (1-t)^3 (1-t^2)^3 (1-t^3): the t coefficient must be
         # the number of degree-1 generators, here 3.
         num = poly_mul(one_minus_t(4), one_minus_t(4))
         series = expand(RationalForm(num, (1, 1, 1, 2, 2, 2, 3)), 1)
-        assert series.integer_coeffs() == (1, 3)
+        assert series == (1, 3)
 
     def test_matches_oracle_on_deeper_prefix(self):
         form = RationalForm((1, 0, 0, -1), (1, 2, 5))
@@ -148,15 +148,16 @@ class TestProperties:
         g = RationalForm(tuple(n2), tuple(w2))
         cutoff = 14
         lhs = expand(f * g, cutoff)
-        rhs = expand(f, cutoff) * expand(g, cutoff)
-        assert lhs == rhs
+        rhs = poly_mul(expand(f, cutoff), expand(g, cutoff))[: cutoff + 1]
+        assert len(lhs) == cutoff + 1
+        assert poly(lhs) == poly(rhs)
 
     @given(small_polys, small_weights)
     @settings(max_examples=60, deadline=None)
     def test_expand_is_linear(self, n, w):
         f = RationalForm(tuple(n), tuple(w))
         doubled = RationalForm(tuple(2 * c for c in n), tuple(w))
-        assert expand(doubled, 12) == 2 * expand(f, 12)
+        assert expand(doubled, 12) == tuple(2 * c for c in expand(f, 12))
 
     @given(
         st.lists(st.integers(1, 5), min_size=4, max_size=6),
