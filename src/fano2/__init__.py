@@ -45,6 +45,7 @@ from .riemann_roch import (
     BasketBoundError,
     FANO_INDEX,
     NonpositiveDegreeError,
+    PolarisationResidualError,
     REJECTED,
     STABLE,
     UNSTABLE,
@@ -56,6 +57,7 @@ from .riemann_roch import (
     periodic_term_raw,
     plurigenus,
     polarisation_residual,
+    scaled_invariants,
 )
 from .series import (
     CutoffTooSmallError,

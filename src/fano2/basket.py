@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 #: Upper bound for the basket load sum (r^2 - 1)/r; strict inequality.
@@ -207,20 +207,23 @@ def enumerate_baskets() -> list[Basket]:
 
     Output order is lexicographic on the sorted (r, a) sequences, which a
     depth-first walk over the sorted universe produces directly; the
-    result is deterministic and diffable.
+    result is deterministic and diffable.  The walk runs on integer loads:
+    every (r^2 - 1)/r and the bound 24 are scaled by the lcm of the
+    indices in the universe, which compares exactly as the rationals do.
     """
     universe = singularity_universe()
+    scale = lcm(*(s.r for s in universe))
+    loads = [(s.r * s.r - 1) * (scale // s.r) for s in universe]
     out: list[Basket] = []
     acc: list[SingularityType] = []
 
-    def walk(start: int, remaining: Fraction) -> None:
+    def walk(start: int, remaining: int) -> None:
         out.append(Basket(tuple(acc)))
         for i in range(start, len(universe)):
-            cost = universe[i].cost
-            if cost < remaining:  # strict: total load must stay < 24
+            if loads[i] < remaining:  # strict: total load must stay < 24
                 acc.append(universe[i])
-                walk(i, remaining - cost)
+                walk(i, remaining - loads[i])
                 acc.pop()
 
-    walk(0, BASKET_BOUND)
+    walk(0, 24 * scale)
     return out

@@ -17,16 +17,13 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import floor
 from typing import Iterable, Sequence, TextIO
 
 from .basket import Basket, SingularityType, enumerate_baskets, parse_basket
 from .riemann_roch import (
-    acz12_from_basket,
-    base_degree,
     hilbert_series,
     kawamata_status,
-    polarisation_residual,
+    scaled_invariants,
     STABLE,
 )
 from .series import DEFAULT_CUTOFF, Series
@@ -79,19 +76,14 @@ def _enumerate(cutoff: int) -> tuple[Candidate, ...]:
         raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
     out: list[Candidate] = []
     for basket in enumerate_baskets():
-        if polarisation_residual(basket) != 0:
-            # Never observed; a nonzero residual would be major news, so
-            # fail loudly rather than silently dropping the basket.
-            raise AssertionError(
-                f"polarisation residual nonzero for basket [{basket}]"
-            )
-        acz12 = acz12_from_basket(basket)
-        base = base_degree(basket)
-        cap = Fraction(48, 5) * acz12
-        n_min = max(0, floor(-base) + 1)  # smallest N with base + N > 0
-        n_max = floor(cap - base)
+        d, acz12_d, base_d = scaled_invariants(basket)
+        acz12 = Fraction(acz12_d, d)
+        # N runs from the smallest value with base + N > 0 up to the
+        # unconditional cap base + N <= (48/5)(Ac2/12), all over D
+        n_min = max(0, -base_d // d + 1)
+        n_max = (48 * acz12_d - 5 * base_d) // (5 * d)
         for n in range(n_min, n_max + 1):
-            a3 = base + n
+            a3 = Fraction(base_d + n * d, d)
             genus = n - 2
             out.append(
                 Candidate(
@@ -197,8 +189,7 @@ def candidate_from_record(record: dict) -> Candidate:
 
 
 def write_json(candidates: Iterable[Candidate], fp: TextIO) -> None:
-    json.dump([candidate_record(c) for c in candidates], fp, indent=None)
-    fp.write("\n")
+    fp.write(json.dumps([candidate_record(c) for c in candidates]) + "\n")
 
 
 def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:

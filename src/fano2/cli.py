@@ -20,6 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -43,12 +44,11 @@ from .graded_rings import (
 from .riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
+    PolarisationResidualError,
     STABLE,
-    acz12_from_basket,
-    base_degree,
     hilbert_series,
     kawamata_status,
-    polarisation_residual,
+    scaled_invariants,
 )
 from .series import DEFAULT_CUTOFF, RationalForm, poly_str
 from .tables import load_table_entries, verify_table_entry
@@ -181,11 +181,11 @@ def cmd_inspect(config: RunConfig) -> int:
               "no candidate has fewer than 0 sections of A", file=sys.stderr)
         return 2
     try:
-        residual = polarisation_residual(basket)
+        d, acz12_d, base_d = scaled_invariants(basket)
     except BasketBoundError as exc:
         print(f"error: inadmissible basket [{basket}]: {exc}", file=sys.stderr)
         return 1
-    if residual != 0:
+    except PolarisationResidualError:
         print(f"error: inadmissible basket [{basket}]: polarisation "
               "residual is nonzero", file=sys.stderr)
         return 1
@@ -195,8 +195,9 @@ def cmd_inspect(config: RunConfig) -> int:
         print(f"error: degree not positive: {exc}", file=sys.stderr)
         return 1
 
-    acz12 = acz12_from_basket(basket)
-    a3 = base_degree(basket) + config.genus + 2
+    acz12 = Fraction(acz12_d, d)
+    a3 = Fraction(base_d + (config.genus + 2) * d, d)
+    status = kawamata_status(a3, acz12)
     model = corrected_inference(series, basket)
     form = RationalForm(model.numerator, model.weights)
     if config.format == "json":
@@ -206,12 +207,12 @@ def cmd_inspect(config: RunConfig) -> int:
                 genus=config.genus,
                 a3=a3,
                 acz12=acz12,
-                stable=kawamata_status(a3, acz12) == STABLE,
+                stable=status == STABLE,
                 series=series,
                 k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
             )
         )
-        payload["status"] = kawamata_status(a3, acz12)
+        payload["status"] = status
         payload["weights"] = list(model.weights)
         payload["numerator"] = list(model.numerator)
         payload["shape"] = model.shape
@@ -224,7 +225,7 @@ def cmd_inspect(config: RunConfig) -> int:
         f"genus:       {config.genus}",
         f"A3:          {a3}",
         f"Ac2/12:      {acz12}",
-        f"status:      {kawamata_status(a3, acz12)}",
+        f"status:      {status}",
         f"singular rank: {basket.singular_rank}"
         + ("  (no K3 elephant)" if basket.singular_rank >= K3_RANK_BOUND else ""),
         f"series:      {', '.join(str(x) for x in series[:13])}, ...",

@@ -52,6 +52,11 @@ class NonpositiveDegreeError(ValueError):
     """The requested (basket, genus) pair gives A^3 <= 0."""
 
 
+class PolarisationResidualError(ValueError):
+    """The basket's polarisation residual is nonzero: h^0(-A) would not
+    vanish.  Never observed on an admissible basket."""
+
+
 def periodic_term_raw(r: int, a: int, n: int) -> Fraction:
     """Periodic Riemann-Roch correction for 1/r(a, -a, 2) at nA.
 
@@ -75,8 +80,13 @@ def periodic_term(s: SingularityType, n: int) -> Fraction:
     return periodic_term_raw(s.r, s.a, n)
 
 
+@cache
 def acz12_from_basket(basket: Basket) -> Fraction:
-    """A c2(X) / 12 = (24 - sum (r^2-1)/r) / 24; raises when not positive."""
+    """A c2(X) / 12 = (24 - sum (r^2-1)/r) / 24; raises when not positive.
+
+    Cached per basket: the residual, the base degree and every plurigenus
+    of the basket start from it.
+    """
     value = 1 - sum((Fraction(s.r * s.r - 1, 24 * s.r) for s in basket),
                     Fraction(0))
     if value <= 0:
@@ -154,28 +164,47 @@ def _periodic_series(s: SingularityType, cutoff: int) -> Series:
     return tuple(c)
 
 
+@cache
+def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
+    """(D, D Ac2/12, D base_degree) with D = 24 lcm(r) over the basket.
+
+    D clears the denominators of Ac2/12, of base_degree and of every
+    periodic term, so the basket's Riemann-Roch constants are exact
+    integers over one common denominator, computed once per basket.
+    Raises :class:`BasketBoundError` for an overweight basket and
+    :class:`PolarisationResidualError` for a nonzero residual, so only
+    admissible baskets are cached.
+    """
+    acz12 = acz12_from_basket(basket)
+    if polarisation_residual(basket) != 0:
+        # A nonzero residual would be major news: fail loudly rather
+        # than silently dropping the basket.
+        raise PolarisationResidualError(
+            f"polarisation residual nonzero for basket [{basket}]"
+        )
+    d = 24 * lcm(*(s.r for s in basket))
+    return d, _scaled(acz12, d), _scaled(base_degree(basket), d)
+
+
 def hilbert_series(
     basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
 ) -> Series:
     """The Hilbert series sum h^0(nA) t^n truncated at cutoff.
 
     Assembled as 1/(1-t) + A^3 t/(1-t)^4 + (Ac2/12) t/(1-t)^2 + sum c_P(t)
-    with A^3 = base_degree + genus + 2.  Every term is scaled by
-    D = 24 lcm(r), which clears the denominators of A^3, Ac2/12 and each
-    periodic term, and the integer sum is divided by D once.  That exact
-    division is the integrality check: a remainder raises
+    with A^3 = base_degree + genus + 2.  Every term is scaled by the D of
+    :func:`scaled_invariants`, and the integer sum is divided by D once.
+    That exact division is the integrality check: a remainder raises
     :class:`NonIntegerSeriesError`.  Positivity of the coefficients is a
     consequence checked by the test suite.
     """
-    acz12 = acz12_from_basket(basket)
-    assert polarisation_residual(basket) == 0
-    a3 = base_degree(basket) + genus + 2
-    if a3 <= 0:
+    d, acz12_d, base_d = scaled_invariants(basket)
+    a3_d = base_d + (genus + 2) * d
+    if a3_d <= 0:
         raise NonpositiveDegreeError(
-            f"A^3 = {a3} <= 0 for basket [{basket}] at genus {genus}"
+            f"A^3 = {Fraction(a3_d, d)} <= 0 for basket [{basket}] "
+            f"at genus {genus}"
         )
-    d = 24 * lcm(*(s.r for s in basket))
-    a3_d, acz12_d = _scaled(a3, d), _scaled(acz12, d)
     ones, deg_part, ac_part = _unit_series(cutoff)
     total = [d * x + a3_d * y + acz12_d * z
              for x, y, z in zip(ones, deg_part, ac_part)]

@@ -131,6 +131,22 @@ class TestUniverseAndEnumeration:
         assert len(set(first)) == GOLDEN_BASKET_COUNT
         assert all(b.cost < 24 for b in first)
 
+    def test_integer_walk_matches_fraction_walk(self):
+        # Reference walk on the rational loads (r^2 - 1)/r against the
+        # bound 24: same baskets in the same order.
+        universe = singularity_universe()
+        expected: list[Basket] = []
+
+        def walk(start, acc, remaining):
+            expected.append(Basket(tuple(acc)))
+            for i in range(start, len(universe)):
+                cost = Fraction(universe[i].r ** 2 - 1, universe[i].r)
+                if cost < remaining:
+                    walk(i, acc + [universe[i]], remaining - cost)
+
+        walk(0, [], Fraction(24))
+        assert enumerate_baskets() == expected
+
     def test_enumeration_order_is_lexicographic(self):
         baskets = enumerate_baskets()
         keys = [tuple((s.r, s.a) for s in b) for b in baskets]

@@ -4,8 +4,9 @@ import csv
 import json
 from fractions import Fraction
 from io import StringIO
+from math import floor
 
-from fano2.basket import Basket, parse_basket
+from fano2.basket import Basket, enumerate_baskets, parse_basket
 from fano2.classify import (
     RECORD_FIELDS,
     anticanonical_sections,
@@ -20,6 +21,7 @@ from fano2.classify import (
     write_csv,
     write_json,
 )
+from fano2.riemann_roch import acz12_from_basket, base_degree
 
 
 class TestCandidateInvariants:
@@ -39,6 +41,18 @@ class TestCandidateInvariants:
                 assert c.a3 <= 9 * c.acz12
             else:
                 assert c.a3 > 9 * c.acz12
+
+    def test_degree_range_matches_fraction_floors(self, candidates):
+        # Per basket, N = genus + 2 runs from the smallest N >= 0 with
+        # base + N > 0 to the largest with base + N <= (48/5)(Ac2/12).
+        found: dict[Basket, list[int]] = {}
+        for c in candidates:
+            found.setdefault(c.basket, []).append(c.genus + 2)
+        for b in enumerate_baskets():
+            base = base_degree(b)
+            cap = Fraction(48, 5) * acz12_from_basket(b)
+            expected = range(max(0, floor(-base) + 1), floor(cap - base) + 1)
+            assert found.get(b, []) == list(expected), str(b)
 
     def test_genus_range_emerges(self, candidates):
         assert min(c.genus for c in candidates) == -2

@@ -3,10 +3,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
+import fano2
+from fano2 import riemann_roch
 from fano2.cli import main
 
 #: SHA-256 of ``enumerate --format json``: "same results" across
@@ -60,6 +67,17 @@ class TestEnumerate:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_JSON_SHA256
 
+    def test_json_output_pinned_under_optimisation(self):
+        # python -O strips asserts; the checks guarding the output are
+        # explicit raises, and the bytes do not change.
+        env = os.environ | {"PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "fano2.cli", "enumerate",
+             "--format", "json"],
+            capture_output=True, env=env, check=True,
+        )
+        assert hashlib.sha256(proc.stdout).hexdigest() == ENUMERATE_JSON_SHA256
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate")
         _, second, _ = run(capsys, "enumerate")
@@ -90,6 +108,19 @@ class TestInspect:
         assert "A3:          3" in out
         assert "(nonsingular)" in out
 
+    def test_unstable_flagship_status(self, capsys):
+        code, out, _ = run(capsys, "inspect", "--basket", "3/1", "--genus", "8")
+        assert code == 0
+        assert "A3:          25/3\nAc2/12:      8/9\nstatus:      unstable\n" in out
+        code, out, _ = run(
+            capsys, "inspect", "--basket", "3/1", "--genus", "8",
+            "--format", "json",
+        )
+        payload = json.loads(out)
+        assert (payload["A3"], payload["stable"], payload["status"]) == (
+            "25/3", False, "unstable"
+        )
+
     def test_parse_error_exit_2(self, capsys):
         code, _, err = run(capsys, "inspect", "--basket", "5/4", "--genus", "0")
         assert code == 2
@@ -104,6 +135,35 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--basket", "", "--genus", "-2")
         assert code == 1
         assert "degree not positive" in err
+
+    @pytest.mark.parametrize(
+        "basket,genus,message",
+        [
+            ("", -2, "A^3 = -2 <= 0 for basket [] at genus -2"),
+            ("3/1", -2, "A^3 = -5/3 <= 0 for basket [3/1] at genus -2"),
+            ("2x5/2,7/3", -2,
+             "A^3 = -3/35 <= 0 for basket [2x5/2,7/3] at genus -2"),
+        ],
+    )
+    def test_nonpositive_degree_message(self, capsys, basket, genus, message):
+        code, out, err = run(
+            capsys, "inspect", "--basket", basket, "--genus", str(genus)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: degree not positive: {message}\n"
+
+    def test_nonzero_residual_exit_1(self, capsys, fresh_invariants, monkeypatch):
+        monkeypatch.setattr(
+            riemann_roch, "polarisation_residual", lambda basket: Fraction(1, 9)
+        )
+        code, out, err = run(capsys, "inspect", "--basket", "3/1", "--genus", "0")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: inadmissible basket [3/1]: polarisation residual is "
+            "nonzero\n"
+        )
 
     def test_overweight_basket_exit_1(self, capsys):
         # load exactly 24 leaves A c2 = 0

@@ -1,7 +1,7 @@
 """The Riemann-Roch engine: global invariants, periodic terms, series."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -10,6 +10,7 @@ from fano2.basket import Basket, SingularityType, enumerate_baskets, parse_baske
 from fano2.riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
+    PolarisationResidualError,
     REJECTED,
     STABLE,
     UNSTABLE,
@@ -20,6 +21,7 @@ from fano2.riemann_roch import (
     periodic_term,
     plurigenus,
     polarisation_residual,
+    scaled_invariants,
 )
 from fano2.series import NonIntegerSeriesError, RationalForm, expand
 
@@ -90,6 +92,37 @@ class TestBaseDegree:
         assert base_degree(parse_basket("21/10")) == Fraction(19, 21) - 2
 
 
+class TestScaledInvariants:
+    def test_match_the_fraction_constants_on_every_basket(self):
+        baskets = enumerate_baskets()
+        assert len(baskets) == 1032
+        for b in baskets:
+            d, acz12_d, base_d = scaled_invariants(b)
+            assert d == 24 * lcm(*(s.r for s in b))
+            assert Fraction(acz12_d, d) == acz12_from_basket(b)
+            assert Fraction(base_d, d) == base_degree(b)
+
+    def test_worked_example(self):
+        assert scaled_invariants(TRIPLE) == (3960, 928, 24)
+
+    def test_overweight_basket_raises_and_is_not_cached(self):
+        before = scaled_invariants.cache_info().currsize
+        with pytest.raises(BasketBoundError):
+            scaled_invariants(parse_basket("9x3/1"))
+        assert scaled_invariants.cache_info().currsize == before
+
+    def test_nonzero_residual_raises(self, fresh_invariants, monkeypatch):
+        # An explicit raise, not an assert, so it also holds under -O.
+        monkeypatch.setattr(
+            riemann_roch, "polarisation_residual", lambda basket: Fraction(1, 9)
+        )
+        with pytest.raises(
+            PolarisationResidualError,
+            match=r"^polarisation residual nonzero for basket \[3/1\]$",
+        ):
+            hilbert_series(parse_basket("3/1"), 0)
+
+
 class TestKawamataStatus:
     def test_sharp_stable_boundary(self):
         assert kawamata_status(Fraction(9), Fraction(1)) == STABLE
@@ -124,7 +157,9 @@ class TestHilbertSeries:
             hilbert_series(Basket(), -2)
 
     @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 7)])
-    def test_degree_off_the_lattice_is_not_integral(self, monkeypatch, base):
+    def test_degree_off_the_lattice_is_not_integral(
+        self, fresh_invariants, monkeypatch, base
+    ):
         # A^3 outside base_degree + Z: 1/2 survives the scaling by
         # D = 24 and is caught by the exact division; 1/7 is not cleared
         # by D at all.
