@@ -12,20 +12,18 @@ from .basket import (
     enumerate_baskets,
     normalize,
     parse_basket,
-    singular_rank,
     singularity_universe,
 )
 from .classify import (
     Candidate,
     K3_RANK_BOUND,
     anticanonical_sections,
+    candidate,
     candidate_from_record,
     candidate_record,
-    degree_extremes,
     distinct_series_count,
     enumerate_candidates,
     genus_histogram,
-    k3_obstruction,
 )
 from .graded_rings import (
     CODIM2_CI,

@@ -131,6 +131,7 @@ class Basket:
 
     @property
     def singular_rank(self) -> int:
+        """Sum of r - 1 over the basket; at least 20 rules out a K3 elephant."""
         return sum(s.rank for s in self.entries)
 
     def __str__(self) -> str:
@@ -145,11 +146,6 @@ class Basket:
             out.append(f"{mult}x{s}" if mult > 1 else str(s))
             i = j
         return ",".join(out)
-
-
-def singular_rank(basket: Basket) -> int:
-    """Sum of r - 1 over the basket; at least 20 rules out a K3 elephant."""
-    return basket.singular_rank
 
 
 _ENTRY_RE = re.compile(r"^(?:(\d+)x)?(\d+)/(\d+)$")

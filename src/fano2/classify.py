@@ -65,37 +65,45 @@ def anticanonical_sections(c: Candidate) -> int:
     return c.series[2]
 
 
-def k3_obstruction(c: Candidate) -> bool:
-    """True when the basket's singular rank rules out a K3 elephant."""
-    return c.basket.singular_rank >= K3_RANK_BOUND
+def candidate(
+    basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
+) -> Candidate:
+    """The candidate data of one (basket, genus) pair, A^3 = base + genus + 2.
+
+    The degree cap is not applied: ``stable`` is False for a pair past it
+    as for an unstable one.  Raises :class:`BasketBoundError`,
+    :class:`PolarisationResidualError` or :class:`NonpositiveDegreeError`
+    as :func:`hilbert_series` does.
+    """
+    if cutoff < 2:
+        raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
+    series = hilbert_series(basket, genus, cutoff)
+    d, acz12_d, base_d = scaled_invariants(basket)
+    a3 = Fraction(base_d + (genus + 2) * d, d)
+    acz12 = Fraction(acz12_d, d)
+    return Candidate(
+        basket=basket,
+        genus=genus,
+        a3=a3,
+        acz12=acz12,
+        stable=kawamata_status(a3, acz12) == STABLE,
+        series=series,
+        k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
+    )
 
 
 @lru_cache(maxsize=4)
 def _enumerate(cutoff: int) -> tuple[Candidate, ...]:
-    if cutoff < 2:
-        raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
     out: list[Candidate] = []
     for basket in enumerate_baskets():
         d, acz12_d, base_d = scaled_invariants(basket)
-        acz12 = Fraction(acz12_d, d)
         # N runs from the smallest value with base + N > 0 up to the
         # unconditional cap base + N <= (48/5)(Ac2/12), all over D
         n_min = max(0, -base_d // d + 1)
         n_max = (48 * acz12_d - 5 * base_d) // (5 * d)
-        for n in range(n_min, n_max + 1):
-            a3 = Fraction(base_d + n * d, d)
-            genus = n - 2
-            out.append(
-                Candidate(
-                    basket=basket,
-                    genus=genus,
-                    a3=a3,
-                    acz12=acz12,
-                    stable=kawamata_status(a3, acz12) == STABLE,
-                    series=hilbert_series(basket, genus, cutoff),
-                    k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
-                )
-            )
+        out.extend(
+            candidate(basket, n - 2, cutoff) for n in range(n_min, n_max + 1)
+        )
     return tuple(out)
 
 
@@ -146,13 +154,6 @@ def genus_histogram(candidates: Sequence[Candidate]) -> list[GenusRow]:
             )
         )
     return rows
-
-
-def degree_extremes(
-    candidates: Sequence[Candidate],
-) -> list[tuple[int, Fraction, Fraction]]:
-    """(genus, min A^3, max A^3) per genus, exact rationals."""
-    return [(r.genus, r.min_a3, r.max_a3) for r in genus_histogram(candidates)]
 
 
 # ---------------------------------------------------------------------------

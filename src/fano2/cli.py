@@ -4,7 +4,9 @@ Commands
 --------
 enumerate        write every candidate with a summary footer
 inspect          full report for one (basket, genus) pair
-verify-tables    check the bundled reference tables, exit 0 iff all pass
+verify-tables    check the bundled reference tables, exit 0 iff all pass;
+                 --cutoff is a floor that each row raises as its
+                 numerator needs
 histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
@@ -19,15 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import Counter
+from collections.abc import Callable, Sequence
 from io import StringIO
 from pathlib import Path
 
 from .basket import BasketParseError, parse_basket
 from .classify import (
     Candidate,
-    K3_RANK_BOUND,
+    candidate,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,
@@ -45,29 +47,10 @@ from .riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
     PolarisationResidualError,
-    STABLE,
-    hilbert_series,
     kawamata_status,
-    scaled_invariants,
 )
 from .series import DEFAULT_CUTOFF, RationalForm, poly_str
-from .tables import load_table_entries, verify_table_entry
-
-#: Floor on the cutoff when verifying tables (deep rows raise it further).
-VERIFY_CUTOFF_FLOOR = 50
-
-
-@dataclass
-class RunConfig:
-    command: str
-    stable_only: bool = False
-    cutoff: int = DEFAULT_CUTOFF
-    format: str = "text"
-    output_path: str | None = None
-    table: int | None = None
-    basket_text: str | None = None
-    genus: int | None = None
-    by: str = "genus"
+from .tables import verify_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json", "csv")):
+    def common(p, run, formats=("text", "json", "csv")):
+        p.set_defaults(run=run)
         p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
                        help="series truncation degree (default 60)")
         p.add_argument("--format", choices=formats, default="text")
@@ -90,48 +74,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list all candidates")
     p.add_argument("--stable", action="store_true",
                    help="restrict to the Bogomolov-Kawamata stable ones")
-    common(p)
+    common(p, cmd_enumerate)
 
     p = sub.add_parser("inspect", help="report on one (basket, genus) pair")
     p.add_argument("--basket", required=True, metavar="STR",
                    help='e.g. "3/1,5/1,11/3"; empty string for none')
     p.add_argument("--genus", required=True, type=int)
-    common(p, formats=("text", "json"))
+    common(p, cmd_inspect, formats=("text", "json"))
 
     p = sub.add_parser("verify-tables", help="check the bundled tables")
     p.add_argument("--table", type=int, choices=(1, 2, 3, 4), default=None)
-    common(p, formats=("text",))
+    common(p, cmd_verify_tables, formats=("text",))
 
     p = sub.add_parser("histogram", help="genus or codimension statistics")
     p.add_argument("--by", choices=("genus", "codim"), default="genus")
     p.add_argument("--stable", action="store_true")
-    common(p, formats=("text", "csv"))
+    common(p, cmd_histogram, formats=("text", "csv"))
 
     p = sub.add_parser("k3-obstructions",
                        help="candidates that cannot carry a K3 elephant")
-    common(p)
+    common(p, cmd_k3_obstructions)
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        stable_only=getattr(args, "stable", False),
-        cutoff=args.cutoff,
-        format=getattr(args, "format", "text"),
-        output_path=args.output,
-        table=getattr(args, "table", None),
-        basket_text=getattr(args, "basket", None),
-        genus=getattr(args, "genus", None),
-        by=getattr(args, "by", "genus"),
-    )
-
-
-def _emit(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        Path(config.output_path).write_text(text)
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_candidates(
+    args: argparse.Namespace,
+    cands: Sequence[Candidate],
+    line: Callable[[Candidate], str],
+    footer: str,
+) -> None:
+    """JSON or CSV records, or one text line per candidate and a footer."""
+    buf = StringIO()
+    if args.format == "json":
+        write_json(cands, buf)
+    elif args.format == "csv":
+        write_csv(cands, buf)
+    else:
+        buf.writelines(line(c) + "\n" for c in cands)
+        buf.write(footer + "\n")
+    _emit(args, buf.getvalue())
 
 
 def _candidate_line(c: Candidate) -> str:
@@ -144,44 +132,41 @@ def _candidate_line(c: Candidate) -> str:
     )
 
 
-def cmd_enumerate(config: RunConfig) -> int:
-    cands = enumerate_candidates(config.cutoff, stable_only=config.stable_only)
-    buf = StringIO()
-    if config.format == "json":
-        write_json(cands, buf)
-    elif config.format == "csv":
-        write_csv(cands, buf)
+def _k3_line(c: Candidate) -> str:
+    return (
+        f"{str(c.basket):24s} g={c.genus:<3d} A3={c.a3!s:8s} "
+        f"rank={c.basket.singular_rank:<3d} "
+        f"{'stable' if c.stable else 'unstable'}"
+    )
+
+
+def cmd_enumerate(args: argparse.Namespace) -> int:
+    cands = enumerate_candidates(args.cutoff, stable_only=args.stable)
+    if args.stable:
+        footer = f"{len(cands)} candidates"
     else:
-        for c in cands:
-            buf.write(_candidate_line(c) + "\n")
-        buf.write(_footer(cands, config.stable_only) + "\n")
-    _emit(config, buf.getvalue())
-    if config.format != "text":
+        stable = sum(1 for c in cands if c.stable)
+        k3 = sum(1 for c in cands if c.k3_obstructed)
+        footer = f"{len(cands)} candidates, {stable} stable, {k3} K3-obstructed"
+    _write_candidates(args, cands, _candidate_line, footer)
+    if args.format != "text":
         # keep machine-readable streams clean; summary goes to stderr
-        print(_footer(cands, config.stable_only), file=sys.stderr)
+        print(footer, file=sys.stderr)
     return 0
 
 
-def _footer(cands, stable_only: bool) -> str:
-    if stable_only:
-        return f"{len(cands)} candidates"
-    stable = sum(1 for c in cands if c.stable)
-    k3 = sum(1 for c in cands if c.k3_obstructed)
-    return f"{len(cands)} candidates, {stable} stable, {k3} K3-obstructed"
-
-
-def cmd_inspect(config: RunConfig) -> int:
+def cmd_inspect(args: argparse.Namespace) -> int:
     try:
-        basket = parse_basket(config.basket_text)
+        basket = parse_basket(args.basket)
     except BasketParseError as exc:
         print(f"error: cannot parse basket: {exc}", file=sys.stderr)
         return 2
-    if config.genus < -2:
-        print(f"error: genus below -2 (got {config.genus}); "
+    if args.genus < -2:
+        print(f"error: genus below -2 (got {args.genus}); "
               "no candidate has fewer than 0 sections of A", file=sys.stderr)
         return 2
     try:
-        d, acz12_d, base_d = scaled_invariants(basket)
+        c = candidate(basket, args.genus, args.cutoff)
     except BasketBoundError as exc:
         print(f"error: inadmissible basket [{basket}]: {exc}", file=sys.stderr)
         return 1
@@ -189,92 +174,69 @@ def cmd_inspect(config: RunConfig) -> int:
         print(f"error: inadmissible basket [{basket}]: polarisation "
               "residual is nonzero", file=sys.stderr)
         return 1
-    try:
-        series = hilbert_series(basket, config.genus, config.cutoff)
     except NonpositiveDegreeError as exc:
         print(f"error: degree not positive: {exc}", file=sys.stderr)
         return 1
 
-    acz12 = Fraction(acz12_d, d)
-    a3 = Fraction(base_d + (config.genus + 2) * d, d)
-    status = kawamata_status(a3, acz12)
-    model = corrected_inference(series, basket)
-    form = RationalForm(model.numerator, model.weights)
-    if config.format == "json":
-        payload = candidate_record(
-            Candidate(
-                basket=basket,
-                genus=config.genus,
-                a3=a3,
-                acz12=acz12,
-                stable=status == STABLE,
-                series=series,
-                k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
-            )
-        )
-        payload["status"] = status
-        payload["weights"] = list(model.weights)
-        payload["numerator"] = list(model.numerator)
-        payload["shape"] = model.shape
-        payload["codim"] = model.codim
-        payload["codim_is_lower_bound"] = model.codim_is_lower_bound
-        _emit(config, json.dumps(payload) + "\n")
+    # inspect reports pairs past the degree cap too, so the status is
+    # three-valued here where the candidate's ``stable`` is a bool
+    status = kawamata_status(c.a3, c.acz12)
+    model = corrected_inference(c.series, basket)
+    if args.format == "json":
+        payload = candidate_record(c) | {
+            "status": status,
+            "weights": list(model.weights),
+            "numerator": list(model.numerator),
+            "shape": model.shape,
+            "codim": model.codim,
+            "codim_is_lower_bound": model.codim_is_lower_bound,
+        }
+        _emit(args, json.dumps(payload) + "\n")
         return 0
     lines = [
         f"basket:      {basket or '(nonsingular)'}",
-        f"genus:       {config.genus}",
-        f"A3:          {a3}",
-        f"Ac2/12:      {acz12}",
+        f"genus:       {c.genus}",
+        f"A3:          {c.a3}",
+        f"Ac2/12:      {c.acz12}",
         f"status:      {status}",
         f"singular rank: {basket.singular_rank}"
-        + ("  (no K3 elephant)" if basket.singular_rank >= K3_RANK_BOUND else ""),
-        f"series:      {', '.join(str(x) for x in series[:13])}, ...",
+        + ("  (no K3 elephant)" if c.k3_obstructed else ""),
+        f"series:      {', '.join(str(x) for x in c.series[:13])}, ...",
         f"weights:     {','.join(str(w) for w in model.weights)}"
         + (f"  (seeded by polarisation: {model.seeded})" if model.seeded else ""),
         f"numerator:   {poly_str(model.numerator)}"
         + ("" if model.numerator_complete else "  (truncated; raise --cutoff)"),
-        f"closed form: {form}",
+        f"closed form: {RationalForm(model.numerator, model.weights)}",
         f"shape:       {model.shape} (codim"
         + (" >= " if model.codim_is_lower_bound else " ")
         + f"{model.codim})",
     ]
-    _emit(config, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
-def cmd_verify_tables(config: RunConfig) -> int:
-    entries = load_table_entries()
-    if config.table is not None:
-        entries = [e for e in entries if e.table_id == config.table]
-    passed: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    failures = []
-    for entry in entries:
-        report = verify_table_entry(entry, config.cutoff)
-        totals[entry.table_id] = totals.get(entry.table_id, 0) + 1
-        passed[entry.table_id] = passed.get(entry.table_id, 0) + report.ok
-        if not report.ok:
-            failures.append(report)
-    line = " ".join(
-        f"Table{t} {passed[t]}/{totals[t]}" for t in sorted(totals)
-    )
-    buf = [line]
+def cmd_verify_tables(args: argparse.Namespace) -> int:
+    reports = verify_all(table_id=args.table, cutoff=args.cutoff)
+    totals = Counter(r.entry.table_id for r in reports)
+    passed = Counter(r.entry.table_id for r in reports if r.ok)
+    failures = [r for r in reports if not r.ok]
+    buf = [" ".join(f"Table{t} {passed[t]}/{totals[t]}" for t in sorted(totals))]
     for report in failures:
         buf.append(
             f"FAIL {report.entry.label}: checks failed: "
             f"{', '.join(report.failed_checks())}"
             + (f" ({'; '.join(report.notes)})" if report.notes else "")
         )
-    _emit(config, "\n".join(buf) + "\n")
+    _emit(args, "\n".join(buf) + "\n")
     return 0 if not failures else 1
 
 
-def cmd_histogram(config: RunConfig) -> int:
-    cands = enumerate_candidates(config.cutoff, stable_only=config.stable_only)
+def cmd_histogram(args: argparse.Namespace) -> int:
+    cands = enumerate_candidates(args.cutoff, stable_only=args.stable)
     buf = StringIO()
-    if config.by == "genus":
+    if args.by == "genus":
         rows = genus_histogram(cands)
-        if config.format == "csv":
+        if args.format == "csv":
             buf.write("genus,total,unstable,min_A3,max_A3\n")
             for r in rows:
                 buf.write(f"{r.genus},{r.total},{r.unstable},{r.min_a3},{r.max_a3}\n")
@@ -298,7 +260,7 @@ def cmd_histogram(config: RunConfig) -> int:
         ]
         ours = codim_histogram(models)
         keys = sorted(set(ours) | set(REFERENCE_CODIM_COUNTS))
-        if config.format == "csv":
+        if args.format == "csv":
             buf.write("codim,inferred,reference\n")
             for k in keys:
                 buf.write(f"{k},{ours.get(k, 0)},{REFERENCE_CODIM_COUNTS.get(k, 0)}\n")
@@ -317,59 +279,31 @@ def cmd_histogram(config: RunConfig) -> int:
                 "reference counts come from a K3-database comparison and "
                 "are a guide, not ground truth\n"
             )
-    _emit(config, buf.getvalue())
+    _emit(args, buf.getvalue())
     return 0
 
 
-def cmd_k3_obstructions(config: RunConfig) -> int:
-    cands = [c for c in enumerate_candidates(config.cutoff) if c.k3_obstructed]
-    buf = StringIO()
-    if config.format == "json":
-        write_json(cands, buf)
-    elif config.format == "csv":
-        write_csv(cands, buf)
-    else:
-        for c in cands:
-            buf.write(
-                f"{str(c.basket):24s} g={c.genus:<3d} A3={c.a3!s:8s} "
-                f"rank={c.basket.singular_rank:<3d} "
-                f"{'stable' if c.stable else 'unstable'}\n"
-            )
-        unstable = sum(1 for c in cands if not c.stable)
-        buf.write(f"{len(cands)} candidates, {unstable} unstable\n")
-    _emit(config, buf.getvalue())
+def cmd_k3_obstructions(args: argparse.Namespace) -> int:
+    cands = [c for c in enumerate_candidates(args.cutoff) if c.k3_obstructed]
+    unstable = sum(1 for c in cands if not c.stable)
+    _write_candidates(args, cands, _k3_line,
+                      f"{len(cands)} candidates, {unstable} unstable")
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config(args)
-    if config.cutoff < 2:
+    if args.cutoff < 2:
         parser.error("--cutoff must be >= 2")
-    if config.command == "verify-tables" and config.cutoff < VERIFY_CUTOFF_FLOOR:
-        parser.error(
-            f"table verification needs --cutoff >= {VERIFY_CUTOFF_FLOOR} "
-            "(deep numerators reach degree 45)"
-        )
     try:
-        if config.command == "enumerate":
-            return cmd_enumerate(config)
-        if config.command == "inspect":
-            return cmd_inspect(config)
-        if config.command == "verify-tables":
-            return cmd_verify_tables(config)
-        if config.command == "histogram":
-            return cmd_histogram(config)
-        if config.command == "k3-obstructions":
-            return cmd_k3_obstructions(config)
+        return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CutoffExhaustedError as exc:
         print(f"error: {exc}; raise --cutoff", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {config.command}")
 
 
 if __name__ == "__main__":

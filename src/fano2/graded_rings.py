@@ -27,6 +27,7 @@ from .basket import Basket
 from .series import (
     IntPoly,
     Series,
+    _mul_one_minus_tw,
     one_minus_t,
     palindromy_sign,
     poly,
@@ -111,8 +112,7 @@ def _greedy(
                 f"still adding generators at the cutoff {cutoff}"
             )
         for _ in range(c):
-            for k in range(cutoff, d - 1, -1):
-                q[k] -= q[k - d]
+            _mul_one_minus_tw(q, d)
             weights.append(d)
         # q[d] is now zero and lower coefficients were never touched
     window = max(weights, default=0)

@@ -175,12 +175,6 @@ class RationalForm:
             raise ValueError("denominator weights must be positive")
         object.__setattr__(self, "denom_weights", ws)
 
-    def __mul__(self, other: "RationalForm") -> "RationalForm":
-        return RationalForm(
-            poly_mul(self.numerator, other.numerator),
-            self.denom_weights + other.denom_weights,
-        )
-
     def __str__(self) -> str:
         num = poly_str(self.numerator)
         if len(poly(self.numerator)) > 1:

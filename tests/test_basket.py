@@ -17,7 +17,6 @@ from fano2.basket import (
     enumerate_baskets,
     normalize,
     parse_basket,
-    singular_rank,
     singularity_universe,
 )
 from fano2.riemann_roch import periodic_term_raw
@@ -155,13 +154,13 @@ class TestUniverseAndEnumeration:
 
 class TestSingularRank:
     def test_rank_of_index_21_point(self):
-        assert singular_rank(Basket((normalize(21, 10),))) == 20
+        assert Basket((normalize(21, 10),)).singular_rank == 20
 
     def test_rank_of_empty(self):
-        assert singular_rank(Basket()) == 0
+        assert Basket().singular_rank == 0
 
     def test_rank_of_worked_example(self):
-        assert singular_rank(parse_basket("3/1,5/1,11/3")) == 16
+        assert parse_basket("3/1,5/1,11/3").singular_rank == 16
 
 
 class TestTextSyntax:

@@ -6,22 +6,29 @@ from fractions import Fraction
 from io import StringIO
 from math import floor
 
+import pytest
+
 from fano2.basket import Basket, enumerate_baskets, parse_basket
 from fano2.classify import (
+    K3_RANK_BOUND,
     RECORD_FIELDS,
     anticanonical_sections,
+    candidate,
     candidate_from_csv_row,
     candidate_from_record,
     candidate_record,
-    degree_extremes,
     distinct_series_count,
     enumerate_candidates,
     genus_histogram,
-    k3_obstruction,
     write_csv,
     write_json,
 )
-from fano2.riemann_roch import acz12_from_basket, base_degree
+from fano2.riemann_roch import (
+    BasketBoundError,
+    NonpositiveDegreeError,
+    acz12_from_basket,
+    base_degree,
+)
 
 
 class TestCandidateInvariants:
@@ -53,6 +60,27 @@ class TestCandidateInvariants:
             cap = Fraction(48, 5) * acz12_from_basket(b)
             expected = range(max(0, floor(-base) + 1), floor(cap - base) + 1)
             assert found.get(b, []) == list(expected), str(b)
+
+    def test_constructor_rebuilds_every_candidate(self, candidates):
+        for c in candidates:
+            assert candidate(c.basket, c.genus) == c
+
+    def test_constructor_ignores_the_degree_cap(self):
+        # 61/3 lies past (48/5)(8/9) = 128/15: no candidate, still built
+        c = candidate(parse_basket("3/1"), 20)
+        assert (c.a3, c.acz12, c.stable) == (Fraction(61, 3), Fraction(8, 9), False)
+        assert c.series[:3] == (1, 22, 84)
+
+    def test_constructor_errors(self):
+        with pytest.raises(NonpositiveDegreeError):
+            candidate(Basket(), -2)
+        with pytest.raises(BasketBoundError):
+            candidate(parse_basket("9x3/1"), 0)
+        # records report h0(2A), so the series must reach degree 2
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            candidate(Basket(), 3, cutoff=1)
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            enumerate_candidates(1)
 
     def test_genus_range_emerges(self, candidates):
         assert min(c.genus for c in candidates) == -2
@@ -89,9 +117,9 @@ class TestCandidateInvariants:
     def test_anticanonical_sections_and_obstruction_accessors(self, candidates):
         c0 = candidates[0]
         assert anticanonical_sections(c0) == c0.series[2]
-        for c in candidates[::101]:
-            assert k3_obstruction(c) == (c.basket.singular_rank >= 20)
-            assert k3_obstruction(c) == c.k3_obstructed
+        assert K3_RANK_BOUND == 20
+        for c in candidates:
+            assert c.k3_obstructed == (c.basket.singular_rank >= K3_RANK_BOUND)
 
 
 class TestHistograms:
@@ -102,12 +130,6 @@ class TestHistograms:
         for row in rows:
             assert 0 <= row.unstable <= row.total
             assert row.min_a3 <= row.max_a3
-
-    def test_extremes_match_histogram(self, candidates):
-        rows = genus_histogram(candidates)
-        assert degree_extremes(candidates) == [
-            (r.genus, r.min_a3, r.max_a3) for r in rows
-        ]
 
 
 class TestSerialisation:
