@@ -36,7 +36,6 @@ from .graded_rings import (
     classify_shape,
     corrected_inference,
     infer_generators,
-    pfaffian_degrees_of,
     polarization_gaps,
 )
 from .riemann_roch import (

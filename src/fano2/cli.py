@@ -5,8 +5,7 @@ Commands
 enumerate        write every candidate with a summary footer
 inspect          full report for one (basket, genus) pair
 verify-tables    check the bundled reference tables, exit 0 iff all pass;
-                 --cutoff is a floor that each row raises as its
-                 numerator needs
+                 each row is cut as deep as its numerator needs
 histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
@@ -63,13 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, run, formats=("text", "json", "csv")):
+    def output(p, run):
         p.set_defaults(run=run)
+        p.add_argument("--output", metavar="PATH", default=None,
+                       help="write to PATH instead of stdout")
+
+    def common(p, run, formats=("text", "json", "csv")):
         p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
                        help="series truncation degree (default 60)")
         p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--output", metavar="PATH", default=None,
-                       help="write to PATH instead of stdout")
+        output(p, run)
 
     p = sub.add_parser("enumerate", help="list all candidates")
     p.add_argument("--stable", action="store_true",
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-tables", help="check the bundled tables")
     p.add_argument("--table", type=int, choices=(1, 2, 3, 4), default=None)
-    common(p, cmd_verify_tables, formats=("text",))
+    output(p, cmd_verify_tables)
 
     p = sub.add_parser("histogram", help="genus or codimension statistics")
     p.add_argument("--by", choices=("genus", "codim"), default="genus")
@@ -216,7 +218,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_tables(args: argparse.Namespace) -> int:
-    reports = verify_all(table_id=args.table, cutoff=args.cutoff)
+    reports = verify_all(table_id=args.table)
     totals = Counter(r.entry.table_id for r in reports)
     passed = Counter(r.entry.table_id for r in reports if r.ok)
     failures = [r for r in reports if not r.ok]
@@ -294,7 +296,7 @@ def cmd_k3_obstructions(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cutoff < 2:
+    if "cutoff" in args and args.cutoff < 2:
         parser.error("--cutoff must be >= 2")
     try:
         return args.run(args)

@@ -21,6 +21,7 @@ a lower bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .basket import Basket
@@ -29,9 +30,7 @@ from .series import (
     Series,
     _mul_one_minus_tw,
     one_minus_t,
-    palindromy_sign,
     poly,
-    poly_degree,
     poly_mul,
     series_times_weights,
 )
@@ -62,12 +61,13 @@ REFERENCE_CODIM_COUNTS = {
 class GradedModel:
     """Inferred ambient weights and Hilbert numerator for a series.
 
-    ``numerator_complete`` records the trailing-zero check: the top
-    max(weights) coefficients below the cutoff all vanish, so the
-    numerator cannot extend past the cutoff.  ``seeded`` lists weights
-    that were forced in by polarisation rather than read off the series;
-    a nonempty seed (or an incomplete numerator) makes the codimension a
-    lower bound.
+    ``numerator_complete`` records that the cutoff reaches the Gorenstein
+    degree sum(weights) - 2.  The numerator of an index-2 series is
+    signed-palindromic with exactly that top degree, so from there on
+    every coefficient of the truncated product is exact.  ``seeded``
+    lists weights that were forced in by polarisation rather than read
+    off the series; a nonempty seed (or an incomplete numerator) makes
+    the codimension a lower bound.
     """
 
     weights: tuple[int, ...]
@@ -91,8 +91,8 @@ def _greedy(
     """One pass of the greedy loop, honouring pre-seeded weights.
 
     Returns (weights, numerator, numerator_complete).  The numerator is
-    the truncated product series * prod (1 - t^w), trimmed; completeness
-    is the trailing-window check.
+    the truncated product series * prod (1 - t^w), trimmed; it is complete
+    when the cutoff reaches its Gorenstein degree sum(weights) - 2.
     """
     cutoff = len(series) - 1
     if series[0] != 1:
@@ -115,10 +115,7 @@ def _greedy(
             _mul_one_minus_tw(q, d)
             weights.append(d)
         # q[d] is now zero and lower coefficients were never touched
-    window = max(weights, default=0)
-    complete = all(q[k] == 0 for k in range(cutoff - window + 1, cutoff + 1))
-    numerator = poly(q)
-    return tuple(sorted(weights)), numerator, complete
+    return tuple(sorted(weights)), poly(q), sum(weights) - 2 <= cutoff
 
 
 def infer_generators(
@@ -183,12 +180,28 @@ def corrected_inference(series: Series, basket: Basket) -> GradedModel:
     )
 
 
+def ci_numerator(degrees: Sequence[int]) -> IntPoly:
+    """prod (1 - t^d): the numerator of a complete intersection."""
+    num: IntPoly = (1,)
+    for d in degrees:
+        num = poly_mul(num, one_minus_t(d))
+    return num
+
+
 def pfaffian_numerator(degrees: Sequence[int]) -> IntPoly:
-    """1 - sum t^e_i + sum t^(k - e_i) - t^k for k = sum(e)/2."""
+    """1 - sum t^e_i + sum t^(k - e_i) - t^k for k = sum(e)/2.
+
+    The five Pfaffians of a 5x5 skew matrix have degrees e_i with an even
+    sum and 1 <= e_i < k; other degrees raise ValueError.
+    """
     total = sum(degrees)
     if total % 2 != 0:
         raise ValueError("Pfaffian degrees must have even sum")
     k = total // 2
+    if len(degrees) != 5 or not all(1 <= e < k for e in degrees):
+        raise ValueError(
+            f"{tuple(degrees)} are not the degrees of five Pfaffians"
+        )
     c = [0] * (k + 1)
     c[0] = 1
     c[k] -= 1
@@ -198,62 +211,43 @@ def pfaffian_numerator(degrees: Sequence[int]) -> IntPoly:
     return poly(c)
 
 
-def pfaffian_degrees_of(numerator: Sequence[int]) -> tuple[int, ...] | None:
-    """Recover (e_1..e_5) if the numerator matches the 5x5-Pfaffian
-    pattern 1 - sum t^e_i + sum t^(k - e_i) - t^k with k = sum(e)/2."""
-    num = poly(numerator)
-    k = poly_degree(num)
-    if k < 2 or num[0] != 1 or num[k] != -1:
-        return None
-    if palindromy_sign(num, k) != -1:
-        return None
-    degrees: list[int] = []
-    for d in range(1, k):
-        if num[d] < 0:
-            degrees.extend([d] * (-num[d]))
-    if len(degrees) != 5 or sum(degrees) != 2 * k:
-        return None
-    if pfaffian_numerator(degrees) != num:
-        return None
-    return tuple(degrees)
-
-
-def _ci_degrees_of(numerator: Sequence[int]) -> tuple[int, int] | None:
-    """Recover (d1, d2) if the numerator is (1 - t^d1)(1 - t^d2)."""
-    num = poly(numerator)
-    k = poly_degree(num)
-    if k < 2 or num[0] != 1 or num[k] != 1:
-        return None
-    d1 = next((d for d in range(1, k) if num[d] != 0), None)
-    if d1 is None:
-        return None
-    d2 = k - d1
-    if poly_mul(one_minus_t(d1), one_minus_t(d2)) != num:
-        return None
-    return (d1, d2)
+#: The format of each low codimension: its number of relations, the
+#: numerator formula over the relation degrees, and the shape it names.
+_FORMATS = {
+    1: (1, ci_numerator, HYPERSURFACE),
+    2: (2, ci_numerator, CODIM2_CI),
+    3: (5, pfaffian_numerator, CODIM3_PFAFFIAN),
+}
 
 
 def classify_shape(weights: Sequence[int], numerator: Sequence[int]) -> str:
-    """Recognise the numerator pattern for codimension <= 3.
+    """The format of the codimension len(weights) - 4, if the numerator has it.
 
-    hypersurface: 1 - t^d; complete intersection: (1 - t^d1)(1 - t^d2);
-    Pfaffian: the five-relation pattern above.  The three patterns are
-    mutually exclusive (top coefficients and negative-term counts differ)
-    and, for genuine 3-fold series, force 5, 6 and 7 weights respectively
-    through the pole order at t = 1.  With no pattern, eight or more
-    weights means codimension >= 4; anything else is unknown.
+    Codimension 1 and 2 are complete intersections, codimension 3 is the
+    5x5-Pfaffian format (Buchsbaum-Eisenbud), and codimension >= 4 is
+    reported as such.  The lowest 1, 2 or 5 relation degrees are read off
+    the negative coefficients and the format's numerator is rebuilt from
+    them; the shape holds when it equals the given numerator, and
+    otherwise, or when the degrees cannot form the format, it is unknown.
+    On genuine 3-fold series the pole order at t = 1 ties each format to
+    its weight count.
     """
-    num = poly(numerator)
-    deg = poly_degree(num)
-    if deg >= 1 and num == (1,) + (0,) * (deg - 1) + (-1,):
-        return HYPERSURFACE
-    if _ci_degrees_of(num) is not None:
-        return CODIM2_CI
-    if pfaffian_degrees_of(num) is not None:
-        return CODIM3_PFAFFIAN
-    if len(weights) >= 8:
+    codim = len(weights) - 4
+    if codim >= 4:
         return CODIM_GE4
-    return UNKNOWN
+    if codim not in _FORMATS:
+        return UNKNOWN
+    count, formula, shape = _FORMATS[codim]
+    num = poly(numerator)
+    negatives = (d for d, c in enumerate(num) for _ in range(-c))
+    relations = list(islice(negatives, count))
+    if len(relations) < count:
+        return UNKNOWN
+    try:
+        rebuilt = formula(relations)
+    except ValueError:
+        return UNKNOWN
+    return shape if rebuilt == num else UNKNOWN
 
 
 def codim_histogram(models: Sequence[GradedModel]) -> dict[int, int]:

@@ -86,16 +86,12 @@ def one_minus_t(w: int) -> IntPoly:
     return (1,) + (0,) * (w - 1) + (-1,)
 
 
-def poly_eval_one(p: Sequence[int]) -> int:
-    return sum(p)
-
-
 def poly_div_one_minus_t(p: Sequence[int]) -> IntPoly:
     """Exact quotient p / (1 - t); requires p(1) = 0.
 
     If p = (1 - t) q then q's coefficients are the partial sums of p's.
     """
-    if poly_eval_one(p) != 0:
+    if sum(p) != 0:
         raise ValueError("polynomial is not divisible by 1 - t")
     out = []
     acc = 0
@@ -245,7 +241,7 @@ def degree_from_form(form: RationalForm) -> Fraction:
     """
     num = poly(form.numerator)
     vanishing = 0
-    while num and poly_eval_one(num) == 0:
+    while num and sum(num) == 0:
         num = poly_div_one_minus_t(num)
         vanishing += 1
     pole = len(form.denom_weights) - vanishing
@@ -253,4 +249,4 @@ def degree_from_form(form: RationalForm) -> Fraction:
         raise WrongPoleOrderError(
             f"pole order at t=1 is {pole}, expected 4"
         )
-    return Fraction(poly_eval_one(num), prod(form.denom_weights))
+    return Fraction(sum(num), prod(form.denom_weights))

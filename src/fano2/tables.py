@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .basket import Basket, parse_basket
-from .graded_rings import corrected_inference, pfaffian_numerator
+from .graded_rings import ci_numerator, corrected_inference, pfaffian_numerator
 from .riemann_roch import acz12_from_basket, base_degree, hilbert_series
 from .series import (
     DEFAULT_CUTOFF,
@@ -34,10 +34,8 @@ from .series import (
     degree_from_form,
     expand,
     numerator_wrt_weights,
-    one_minus_t,
     palindromy_sign,
     poly_degree,
-    poly_mul,
 )
 
 #: SHA-256 of data/tables.json; the loader refuses data that differs.
@@ -118,10 +116,7 @@ def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
 def model_numerator(entry: TableEntry) -> IntPoly | None:
     """The tabulated Hilbert numerator, when the table carries one."""
     if entry.relation_degrees is not None:
-        num: IntPoly = (1,)
-        for d in entry.relation_degrees:
-            num = poly_mul(num, one_minus_t(d))
-        return num
+        return ci_numerator(entry.relation_degrees)
     if entry.pfaffian_degrees is not None:
         return pfaffian_numerator(entry.pfaffian_degrees)
     return None
@@ -147,16 +142,13 @@ def required_cutoff(entry: TableEntry) -> int:
     return sum(entry.weights) - 2 + max(entry.weights) + 1
 
 
-def verify_table_entry(
-    entry: TableEntry, cutoff: int | None = None
-) -> CheckReport:
+def verify_table_entry(entry: TableEntry) -> CheckReport:
     """Re-derive the entry from its basket and compare, all exactly.
 
-    ``cutoff`` acts as a floor; it is raised automatically when the
-    entry's numerator needs more headroom.
+    The series is cut at the default cutoff, or deeper when the entry's
+    numerator needs more headroom (:func:`required_cutoff`).
     """
-    eff_cutoff = max(cutoff if cutoff is not None else DEFAULT_CUTOFF,
-                     required_cutoff(entry))
+    eff_cutoff = max(DEFAULT_CUTOFF, required_cutoff(entry))
     report = CheckReport(entry=entry)
     genus = entry_genus(entry)
     rr = hilbert_series(entry.basket, genus, eff_cutoff)
@@ -210,12 +202,10 @@ def verify_table_entry(
     return report
 
 
-def verify_all(
-    entries=None, table_id: int | None = None, cutoff: int | None = None
-) -> list[CheckReport]:
+def verify_all(entries=None, table_id: int | None = None) -> list[CheckReport]:
     """Verify every entry (optionally one table); deterministic order."""
     if entries is None:
         entries = load_table_entries()
     if table_id is not None:
         entries = [e for e in entries if e.table_id == table_id]
-    return [verify_table_entry(e, cutoff) for e in entries]
+    return [verify_table_entry(e) for e in entries]

@@ -218,6 +218,24 @@ class TestInspect:
             "error: still adding generators at the cutoff 3; raise --cutoff\n"
         )
 
+    def test_symmetric_prefix_is_truncated(self, capsys):
+        # the numerator read at cutoff 60 stops at degree 52, but its
+        # Gorenstein degree sum(w) - 2 is 61
+        argv = ("inspect", "--basket", "5x3/1,7/1", "--genus", "-2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "- 5t^51 - t^52  (truncated; raise --cutoff)\n" in out
+        assert "shape:       codim_ge4 (codim >= 8)\n" in out
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.loads(out)["codim_is_lower_bound"] is True
+        code, out, _ = run(capsys, *argv, "--cutoff", "61", "--format", "json")
+        payload = json.loads(out)
+        assert len(payload["numerator"]) - 1 == 61
+        assert payload["codim_is_lower_bound"] is False
+        code, out, _ = run(capsys, *argv, "--cutoff", "61")
+        assert "- 5t^51 - t^52 + t^61\n" in out
+        assert "truncated" not in out
+
     def test_json_payload(self, capsys):
         code, out, _ = run(
             capsys, "inspect", "--basket", "11/2", "--genus", "-1",
@@ -243,10 +261,16 @@ class TestVerifyTables:
             assert code == 0
             assert out.splitlines()[0] == expected
 
-    def test_small_cutoff_gives_default_report(self, capsys):
-        # each row raises the cutoff to what its numerator needs
-        default = run(capsys, "verify-tables")
-        assert run(capsys, "verify-tables", "--cutoff", "2") == default
+    @pytest.mark.parametrize(
+        "flags", [("--cutoff", "60"), ("--cutoff", "2"), ("--format", "text")]
+    )
+    def test_cutoff_and_format_are_not_options(self, capsys, flags):
+        # each row is cut as deep as its numerator needs, and the report
+        # is text only
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-tables", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestHistogram:
@@ -309,3 +333,15 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--cutoff", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["enumerate"], ["inspect", "--basket", "3/1", "--genus", "0"],
+         ["histogram"], ["k3-obstructions"]],
+    )
+    def test_small_cutoff_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--cutoff", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("\nfano2: error: --cutoff must be >= 2\n")

@@ -1,6 +1,9 @@
 """Generator inference, polarisation gap filling and shape recognition."""
 
 import random
+from collections import Counter
+
+import pytest
 
 from fano2.basket import Basket, parse_basket
 from fano2.graded_rings import (
@@ -9,19 +12,29 @@ from fano2.graded_rings import (
     CODIM_GE4,
     HYPERSURFACE,
     UNKNOWN,
+    ci_numerator,
     classify_shape,
     corrected_inference,
     infer_generators,
-    pfaffian_degrees_of,
+    pfaffian_numerator,
     polarization_gaps,
 )
 from fano2.riemann_roch import hilbert_series
 from fano2.series import (
     RationalForm,
+    degree_from_form,
     expand,
     one_minus_t,
+    palindromy_sign,
+    poly_degree,
     poly_mul,
 )
+
+
+@pytest.fixture(scope="module")
+def models(candidates):
+    """The graded model of every candidate at the default cutoff."""
+    return [(c, corrected_inference(c.series, c.basket)) for c in candidates]
 
 
 class TestInferGenerators:
@@ -106,16 +119,35 @@ class TestCorrectedInference:
         assert back == series  # the original series, hence non-negative
 
 
+class TestFormats:
+    def test_ci_numerator(self):
+        assert ci_numerator(()) == (1,)
+        assert ci_numerator((38,)) == (1,) + (0,) * 37 + (-1,)
+        assert ci_numerator((4, 6)) == poly_mul(one_minus_t(4), one_minus_t(6))
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [(1, 1, 1, 1, 10), (2, 2, 2, 2, 8), (0, 2, 2, 2, 2), (2, 2, 2, 2, 3),
+         (2, 2, 2, 2), (2,) * 7],
+    )
+    def test_pfaffian_numerator_rejects_impossible_degrees(self, degrees):
+        # a degree outside 1 <= e < sum(e)/2, an odd sum, or not five
+        with pytest.raises(ValueError):
+            pfaffian_numerator(degrees)
+
+
 class TestShapeClassification:
     def test_pfaffian_with_degrees(self):
         numerator = (1, 0, 0, -2, -3, 3, 2, 0, 0, -1)
         assert classify_shape((1, 1, 1, 1, 2, 2, 3), numerator) == CODIM3_PFAFFIAN
-        assert pfaffian_degrees_of(numerator) == (3, 3, 4, 4, 4)
+        assert pfaffian_numerator((3, 3, 4, 4, 4)) == numerator
+        assert classify_shape((1, 1, 1, 2, 2, 3), numerator) == UNKNOWN
 
     def test_five_quadrics_pfaffian(self):
         numerator = (1, 0, -5, 5, 0, -1)
-        assert pfaffian_degrees_of(numerator) == (2, 2, 2, 2, 2)
         assert classify_shape((1,) * 7, numerator) == CODIM3_PFAFFIAN
+        assert pfaffian_numerator((2, 2, 2, 2, 2)) == numerator
+        assert classify_shape((1,) * 5, numerator) == UNKNOWN
 
     def test_codim2_complete_intersection(self):
         numerator = poly_mul(one_minus_t(4), one_minus_t(4))
@@ -123,6 +155,25 @@ class TestShapeClassification:
 
     def test_hypersurface(self):
         assert classify_shape((1, 1, 1, 1, 1), (1, 0, 0, -1)) == HYPERSURFACE
+
+    def test_format_is_chosen_by_codimension(self):
+        # a hypersurface numerator over six weights is no codim-2 format
+        assert classify_shape((1,) * 6, (1, 0, 0, -1)) == UNKNOWN
+        assert classify_shape((1,) * 4, (1, 0, 0, -1)) == UNKNOWN
+        assert classify_shape((1,) * 8, (1, 0, 0, -1)) == CODIM_GE4
+
+    @pytest.mark.parametrize(
+        "n_weights,numerator",
+        [
+            (5, ()),
+            (5, (-1, 1)),
+            (7, (1, -4) + (0,) * 8 + (-1,)),  # degrees (1, 1, 1, 1, 10)
+            (7, (1, 0, -4, 0, 0, 0, 0, 0, -1)),  # degrees (2, 2, 2, 2, 8)
+            (7, (1, -1, -1)),
+        ],
+    )
+    def test_impossible_degrees_are_unknown(self, n_weights, numerator):
+        assert classify_shape((1,) * n_weights, numerator) == UNKNOWN
 
     def test_codim_ge4_by_weight_count(self):
         basket = parse_basket("11/2")
@@ -133,14 +184,34 @@ class TestShapeClassification:
     def test_unrecognised_is_unknown(self):
         assert classify_shape((1, 1, 1, 1, 1, 2), (1, 0, -1, -1, 1)) == UNKNOWN
 
-    def test_shapes_match_codimension(self, candidates):
+    def test_shapes_match_codimension(self, models):
         shape_codim = {HYPERSURFACE: 1, CODIM2_CI: 2, CODIM3_PFAFFIAN: 3}
-        for c in candidates[::13]:
-            model = corrected_inference(c.series, c.basket)
+        for _, model in models:
             if model.shape in shape_codim:
                 assert model.codim == shape_codim[model.shape]
             elif model.shape == CODIM_GE4:
                 assert model.codim >= 4
+
+    def test_shape_counts(self, models):
+        # ROADMAP items 2 (section-aware seeding) and 3 (the codim-4
+        # format) change these counts by design.
+        assert Counter(m.shape for _, m in models) == {
+            CODIM_GE4: 1391, UNKNOWN: 64, CODIM2_CI: 26, HYPERSURFACE: 8,
+            CODIM3_PFAFFIAN: 3,
+        }
+
+
+class TestCertification:
+    def test_every_complete_numerator_is_gorenstein(self, models):
+        assert len(models) == 1492
+        for c, m in models:
+            top = sum(m.weights) - 2
+            assert m.numerator_complete == (top <= 60), (c.basket, c.genus)
+            if not m.numerator_complete:
+                continue
+            assert poly_degree(m.numerator) == top
+            assert palindromy_sign(m.numerator, top) == (-1) ** m.codim
+            assert degree_from_form(RationalForm(m.numerator, m.weights)) == c.a3
 
 
 class TestRandomCompleteIntersectionOracle:
