@@ -8,6 +8,7 @@ from fano2 import (
     RationalForm,
     acz12_from_basket,
     base_degree,
+    candidate,
     corrected_inference,
     hilbert_series,
     kawamata_status,
@@ -32,7 +33,7 @@ series = hilbert_series(basket, genus, cutoff=60)
 print(f"series            {', '.join(str(c) for c in series[:13])}, ...")
 
 # Reading generators off the series recovers a weighted hypersurface.
-model = corrected_inference(series, basket)
+model = corrected_inference(candidate(basket, genus))
 print(f"ambient weights   {model.weights}")
 print(f"numerator         {poly_str(model.numerator)}")
 print(f"shape             {model.shape} (codim {model.codim})")

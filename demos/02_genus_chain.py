@@ -10,6 +10,7 @@ back in: that is the corrected inference at work.
 
 from fano2 import (
     base_degree,
+    candidate,
     corrected_inference,
     hilbert_series,
     infer_generators,
@@ -21,8 +22,7 @@ basket = parse_basket("3/1")
 
 for genus in (0, 1, 2):
     a3 = base_degree(basket) + genus + 2
-    series = hilbert_series(basket, genus, cutoff=60)
-    model = corrected_inference(series, basket)
+    model = corrected_inference(candidate(basket, genus))
     print(f"genus {genus}:  A^3 = {a3}")
     print(f"  weights   {model.weights}"
           + (f"  (seeded: {model.seeded})" if model.seeded else ""))

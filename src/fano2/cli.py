@@ -10,6 +10,10 @@ histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
+``--cutoff`` sets only how many series coefficients are printed or
+serialised.  Graded models (``inspect``, ``histogram --by codim``) read
+the basket's series as deep as their numerators need, whatever the cutoff.
+
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
 printed exactly as p/q, never as floats.
@@ -69,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, run, formats=("text", "json", "csv")):
         p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
-                       help="series truncation degree (default 60)")
+                       help="degree of the last series coefficient "
+                       "reported (default 60)")
         p.add_argument("--format", choices=formats, default="text")
         output(p, run)
 
@@ -183,7 +188,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     # inspect reports pairs past the degree cap too, so the status is
     # three-valued here where the candidate's ``stable`` is a bool
     status = kawamata_status(c.a3, c.acz12)
-    model = corrected_inference(c.series, basket)
+    model = corrected_inference(c)
     if args.format == "json":
         payload = candidate_record(c) | {
             "status": status,
@@ -206,8 +211,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"series:      {', '.join(str(x) for x in c.series[:13])}, ...",
         f"weights:     {','.join(str(w) for w in model.weights)}"
         + (f"  (seeded by polarisation: {model.seeded})" if model.seeded else ""),
-        f"numerator:   {poly_str(model.numerator)}"
-        + ("" if model.numerator_complete else "  (truncated; raise --cutoff)"),
+        f"numerator:   {poly_str(model.numerator)}",
         f"closed form: {RationalForm(model.numerator, model.weights)}",
         f"shape:       {model.shape} (codim"
         + (" >= " if model.codim_is_lower_bound else " ")
@@ -255,11 +259,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     else:
         # K3-obstructed candidates have no K3 section to compare against,
         # so they are excluded, matching the reference's population.
-        models = [
-            corrected_inference(c.series, c.basket)
-            for c in cands
-            if not c.k3_obstructed
-        ]
+        models = [corrected_inference(c) for c in cands if not c.k3_obstructed]
         ours = codim_histogram(models)
         keys = sorted(set(ours) | set(REFERENCE_CODIM_COUNTS))
         if args.format == "csv":
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CutoffExhaustedError as exc:
-        print(f"error: {exc}; raise --cutoff", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

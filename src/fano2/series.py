@@ -26,8 +26,10 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-#: Default truncation degree for series work.  Deep numerators (degree up
-#: to sum(weights) - 2) may need more; callers can always pass their own.
+#: Default truncation degree for series work, and the prefix of every
+#: series that generator inference reads (each candidate meets its first
+#: relation by degree 38).  Deep numerators (degree up to sum(weights) - 2)
+#: need more; callers can always pass their own.
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]

@@ -24,8 +24,9 @@ from importlib import resources
 from pathlib import Path
 
 from .basket import Basket, parse_basket
+from .classify import candidate
 from .graded_rings import ci_numerator, corrected_inference, pfaffian_numerator
-from .riemann_roch import acz12_from_basket, base_degree, hilbert_series
+from .riemann_roch import acz12_from_basket, base_degree
 from .series import (
     DEFAULT_CUTOFF,
     CutoffTooSmallError,
@@ -151,7 +152,8 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
     eff_cutoff = max(DEFAULT_CUTOFF, required_cutoff(entry))
     report = CheckReport(entry=entry)
     genus = entry_genus(entry)
-    rr = hilbert_series(entry.basket, genus, eff_cutoff)
+    c = candidate(entry.basket, genus, eff_cutoff)
+    rr = c.series
 
     tabulated = model_numerator(entry)
     if tabulated is not None:
@@ -193,7 +195,7 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
 
     report.checks["acz12"] = acz12_from_basket(entry.basket) == entry.acz12
 
-    model = corrected_inference(rr, entry.basket)
+    model = corrected_inference(c)
     report.checks["weights"] = model.weights == tuple(sorted(entry.weights))
     if not report.checks["weights"]:
         report.notes.append(

@@ -208,33 +208,44 @@ class TestInspect:
         assert err.startswith("error: inadmissible basket [9x3/1]")
         assert len(err.splitlines()) == 1
 
-    def test_small_cutoff_exit_1(self, capsys):
+    def test_small_cutoff_gives_the_default_model(self, capsys):
         code, out, err = run(
             capsys, "inspect", "--basket", "9/1", "--genus", "1", "--cutoff", "3"
         )
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "error: still adding generators at the cutoff 3; raise --cutoff\n"
-        )
+        assert code == 0
+        assert err == ""
+        _, default, _ = run(capsys, "inspect", "--basket", "9/1", "--genus", "1")
+        # only the series line, cut at degree 3, differs
+        assert [l for l in out.splitlines() if not l.startswith("series:")] == [
+            l for l in default.splitlines() if not l.startswith("series:")
+        ]
+        assert "series:      1, 3, 8, 17, ...\n" in out
 
-    def test_symmetric_prefix_is_truncated(self, capsys):
-        # the numerator read at cutoff 60 stops at degree 52, but its
-        # Gorenstein degree sum(w) - 2 is 61
+    def test_cutoff_does_not_reach_the_model(self, capsys):
+        # at cutoff 16 the greedy used to run out of series and report
+        # X38 in P(2,3,5,11,19) as a seeded codim-3 model
+        code, out, _ = run(
+            capsys, "inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2",
+            "--cutoff", "16",
+        )
+        assert code == 0
+        assert "weights:     2,3,5,11,19\n" in out
+        assert "shape:       hypersurface (codim 1)\n" in out
+
+    def test_numerator_is_exact_at_the_default_cutoff(self, capsys):
+        # the Gorenstein degree sum(w) - 2 = 61 lies past the default cutoff
         argv = ("inspect", "--basket", "5x3/1,7/1", "--genus", "-2")
         code, out, _ = run(capsys, *argv)
         assert code == 0
-        assert "- 5t^51 - t^52  (truncated; raise --cutoff)\n" in out
-        assert "shape:       codim_ge4 (codim >= 8)\n" in out
+        assert "- 5t^51 - t^52 + t^61\n" in out
+        assert "shape:       codim_ge4 (codim 8)\n" in out
         code, out, _ = run(capsys, *argv, "--format", "json")
-        assert json.loads(out)["codim_is_lower_bound"] is True
-        code, out, _ = run(capsys, *argv, "--cutoff", "61", "--format", "json")
         payload = json.loads(out)
         assert len(payload["numerator"]) - 1 == 61
         assert payload["codim_is_lower_bound"] is False
-        code, out, _ = run(capsys, *argv, "--cutoff", "61")
-        assert "- 5t^51 - t^52 + t^61\n" in out
-        assert "truncated" not in out
+        _, at60, _ = run(capsys, *argv, "--cutoff", "60")
+        _, at61, _ = run(capsys, *argv, "--cutoff", "61")
+        assert at60 == at61
 
     def test_json_payload(self, capsys):
         code, out, _ = run(
@@ -294,13 +305,15 @@ class TestHistogram:
         sums = next(l.split() for l in lines if l.split()[0] == "sum")
         assert sums[2] == "1319"
 
-    def test_small_cutoff_exit_1(self, capsys):
-        code, out, err = run(capsys, "histogram", "--by", "codim", "--cutoff", "5")
-        assert code == 1
-        assert out == ""
-        assert err == (
-            "error: still adding generators at the cutoff 5; raise --cutoff\n"
+    @pytest.mark.parametrize("cutoff", ["2", "16"])
+    def test_codim_table_does_not_depend_on_the_cutoff(self, capsys, cutoff):
+        _, default, _ = run(capsys, "histogram", "--by", "codim")
+        code, out, err = run(
+            capsys, "histogram", "--by", "codim", "--cutoff", cutoff
         )
+        assert code == 0
+        assert err == ""
+        assert out == default
 
     def test_genus_csv(self, capsys):
         code, out, _ = run(capsys, "histogram", "--by", "genus", "--format", "csv")

@@ -6,12 +6,14 @@ from collections import Counter
 import pytest
 
 from fano2.basket import Basket, parse_basket
+from fano2.classify import candidate, enumerate_candidates
 from fano2.graded_rings import (
     CODIM2_CI,
     CODIM3_PFAFFIAN,
     CODIM_GE4,
     HYPERSURFACE,
     UNKNOWN,
+    CutoffExhaustedError,
     ci_numerator,
     classify_shape,
     corrected_inference,
@@ -34,7 +36,7 @@ from fano2.series import (
 @pytest.fixture(scope="module")
 def models(candidates):
     """The graded model of every candidate at the default cutoff."""
-    return [(c, corrected_inference(c.series, c.basket)) for c in candidates]
+    return [(c, corrected_inference(c)) for c in candidates]
 
 
 class TestInferGenerators:
@@ -52,7 +54,7 @@ class TestInferGenerators:
         series = hilbert_series(basket, 2, 60)
         weights, _ = infer_generators(series)
         assert weights == (1, 1, 1, 1, 2, 2)
-        model = corrected_inference(series, basket)
+        model = corrected_inference(candidate(basket, 2))
         assert model.weights == (1, 1, 1, 1, 2, 2, 3)
         assert model.numerator == (1, 0, 0, -2, -3, 3, 2, 0, 0, -1)
         assert model.seeded == (3,)
@@ -64,6 +66,18 @@ class TestInferGenerators:
         weights, _ = infer_generators(series)
         assert weights.count(1) == 3
         assert weights.count(2) == 2
+
+    def test_no_relation_by_the_cutoff_raises(self):
+        # X38 in P(2,3,5,11,19): its relation lies in degree 38, and
+        # generators in degree 19 and beyond are still possible at 16
+        series = hilbert_series(parse_basket("3/1,5/1,11/3"), -2, 16)
+        with pytest.raises(CutoffExhaustedError):
+            infer_generators(series)
+
+    def test_generator_at_the_cutoff_raises(self):
+        series = hilbert_series(parse_basket("3/1,5/1,11/3"), -2, 19)
+        with pytest.raises(CutoffExhaustedError):
+            infer_generators(series)
 
 
 class TestPolarizationGaps:
@@ -84,39 +98,40 @@ class TestPolarizationGaps:
 
 class TestCorrectedInference:
     def test_index11_case_gets_codim4_model(self):
-        basket = parse_basket("11/2")
-        series = hilbert_series(basket, -1, 60)
-        model = corrected_inference(series, basket)
+        model = corrected_inference(candidate(parse_basket("11/2"), -1))
         assert model.weights == (1, 2, 2, 2, 3, 5, 9, 11)
         assert model.codim == 4
         assert model.codim_is_lower_bound
         assert 9 in model.seeded
 
     def test_index9_case_is_at_least_codim4(self):
-        basket = parse_basket("9/1")
-        series = hilbert_series(basket, 1, 60)
-        model = corrected_inference(series, basket)
+        model = corrected_inference(candidate(parse_basket("9/1"), 1))
         assert model.codim >= 4
         assert any(w % 9 == 0 for w in model.weights)
         assert any(w % 9 == 8 for w in model.weights)
 
     def test_hypersurface_needs_no_seeds(self):
-        basket = parse_basket("3/1,5/1,11/3")
-        series = hilbert_series(basket, -2, 60)
-        model = corrected_inference(series, basket)
+        model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert model.shape == HYPERSURFACE
         assert model.codim == 1
         assert model.seeded == ()
         assert not model.codim_is_lower_bound
 
     def test_seeds_are_never_removed_and_expansion_is_nonnegative(self):
-        basket = parse_basket("11/2")
-        series = hilbert_series(basket, -1, 60)
-        model = corrected_inference(series, basket)
+        c = candidate(parse_basket("11/2"), -1)
+        model = corrected_inference(c)
         for w in model.seeded:
             assert w in model.weights
         back = expand(RationalForm(model.numerator, model.weights), 60)
-        assert back == series  # the original series, hence non-negative
+        assert back == c.series  # the original series, hence non-negative
+
+    def test_models_do_not_depend_on_the_cutoff(self, models):
+        # at cutoff 2 the greedy used to raise, and at 16 it silently
+        # returned X38 as a seeded codim-3 model
+        default = [m for _, m in models]
+        for cutoff in (2, 16, 200):
+            cands = enumerate_candidates(cutoff)
+            assert [corrected_inference(c) for c in cands] == default, cutoff
 
 
 class TestFormats:
@@ -176,9 +191,7 @@ class TestShapeClassification:
         assert classify_shape((1,) * n_weights, numerator) == UNKNOWN
 
     def test_codim_ge4_by_weight_count(self):
-        basket = parse_basket("11/2")
-        series = hilbert_series(basket, -1, 60)
-        model = corrected_inference(series, basket)
+        model = corrected_inference(candidate(parse_basket("11/2"), -1))
         assert model.shape == CODIM_GE4
 
     def test_unrecognised_is_unknown(self):
@@ -206,12 +219,16 @@ class TestCertification:
         assert len(models) == 1492
         for c, m in models:
             top = sum(m.weights) - 2
-            assert m.numerator_complete == (top <= 60), (c.basket, c.genus)
-            if not m.numerator_complete:
-                continue
+            assert m.numerator_complete, (c.basket, c.genus)
             assert poly_degree(m.numerator) == top
             assert palindromy_sign(m.numerator, top) == (-1) ** m.codim
             assert degree_from_form(RationalForm(m.numerator, m.weights)) == c.a3
+
+    def test_every_numerator_expands_to_the_series(self, models):
+        for c, m in models:
+            form = RationalForm(m.numerator, m.weights)
+            assert expand(form, 200) == hilbert_series(c.basket, c.genus, 200), (
+                c.basket, c.genus)
 
 
 class TestRandomCompleteIntersectionOracle:
@@ -241,14 +258,14 @@ class TestKnownLimitation:
         # generator shares the Hilbert series of the 1/15 hypersurface
         # and is reported as codimension 1: inference cannot separate a
         # generator/relation pair in equal degree.
-        basket = parse_basket("2x3/1,5/1")
-        series = hilbert_series(basket, -1, 60)
+        c = candidate(parse_basket("2x3/1,5/1"), -1)
+        series = c.series
         direct = RationalForm((1,) + (0,) * 17 + (-1,), (1, 2, 3, 5, 9))
         ci_presentation = RationalForm(
             poly_mul(one_minus_t(6), one_minus_t(18)), (1, 2, 3, 5, 6, 9)
         )
         assert expand(direct, 60) == expand(ci_presentation, 60) == series
-        model = corrected_inference(series, basket)
+        model = corrected_inference(c)
         assert model.weights == (1, 2, 3, 5, 9)
         assert model.shape == HYPERSURFACE
         assert model.codim == 1
