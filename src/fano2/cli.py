@@ -10,9 +10,11 @@ histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
-``--cutoff`` sets only how many series coefficients are printed or
-serialised.  Graded models (``inspect``, ``histogram --by codim``) read
-the basket's series as deep as their numerators need, whatever the cutoff.
+``--cutoff`` sets how many series coefficients are printed or serialised.
+Graded models (``inspect``, ``histogram --by codim``) read the basket's
+series to degree 60 at least, and as deep as their numerators need,
+whatever the cutoff; a deeper cutoff only lets generator inference look
+further for its first relation, which no enumerated candidate needs.
 
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
@@ -304,7 +306,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CutoffExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; raise --cutoff", file=sys.stderr)
         return 1
 
 

@@ -17,11 +17,9 @@ those weights seeded (and never removed), iterating until the coverage
 is satisfied.  When seeding was needed the estimated codimension is only
 a lower bound.
 
-A model is a function of its candidate alone.  The greedy passes read the
-basket's series to the default cutoff, and the numerator is read off the
-series to the Gorenstein degree sum(weights) - 2 (Altinok-Brown-Reid), so
-every reported numerator is exact whatever cutoff the candidate was built
-with.
+A model is a function of its candidate alone, whatever cutoff the
+candidate was built with, and its numerator is the exact Gorenstein
+polynomial of degree sum(weights) - 2 (Altinok-Brown-Reid).
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class GradedModel:
 
     The numerator is the exact polynomial series * prod (1 - t^w).  An
     index-2 numerator is signed-palindromic of top degree sum(weights) - 2,
-    and ``numerator_complete`` certifies that degree.  ``seeded`` lists
+    and ``numerator_complete`` checks that degree.  ``seeded`` lists
     weights that were forced in by polarisation rather than read off the
     series; a nonempty seed makes the codimension a lower bound.
     """
@@ -154,27 +152,43 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
     return gaps
 
 
-def _series_to(c: Candidate, cutoff: int) -> Series:
-    """The candidate's series to degree ``cutoff``, recomputed if short."""
-    if len(c.series) > cutoff:
-        return c.series[: cutoff + 1]
-    return hilbert_series(c.basket, c.genus, cutoff)
+def _gorenstein_completion(
+    numerator: Sequence[int], weights: Sequence[int]
+) -> IntPoly:
+    """The Gorenstein numerator over ``weights`` whose coefficients
+    through degree (sum(weights) - 2) // 2 are those of ``numerator``.
+
+    An index-2 Hilbert series satisfies P(1/t) = t^2 P(t) (Serre duality),
+    so a polynomial numerator P(t) * prod (1 - t^w) has n_(top-k) =
+    (-1)^codim n_k with top = sum(w) - 2 (Altinok-Brown-Reid): its lower
+    half determines it.
+    """
+    top = sum(weights) - 2
+    half = top // 2
+    low = list(numerator[: half + 1])
+    low += [0] * (half + 1 - len(low))
+    sign = (-1) ** (len(weights) - 4)
+    return poly(low + [sign * low[top - k] for k in range(half + 1, top + 1)])
 
 
 def corrected_inference(c: Candidate) -> GradedModel:
     """Generator inference with the basket's polarisation enforced.
 
-    Runs the greedy loop on the series to the default cutoff, fills
-    residue gaps by seeding their minimal representatives, and repeats
-    until coverage holds.  Of the 1492 candidates, 118 need no seeding
-    round, 1305 need one and 69 need two: a seed can displace a generator
-    read before and so open a new gap.  Seeds are never removed.
+    Runs the greedy loop on the candidate's series, or on the series to
+    the default cutoff when the candidate's is shorter, fills residue
+    gaps by seeding their minimal representatives, and repeats until
+    coverage holds.  Of the 1492 candidates, 118 need no seeding round,
+    1305 need one and 69 need two: a seed can displace a generator read
+    before and so open a new gap.  Seeds are never removed.  Each pass
+    stops at its first relation, so a longer series changes no model.
 
     Seeding puts a multiple of every index among the weights, so the
-    numerator is a polynomial; when its Gorenstein degree sum(weights) - 2
-    lies past the default cutoff, it is read off the series to that degree.
+    numerator is a polynomial of degree sum(weights) - 2.  It is read off
+    the series to half that degree and completed by Gorenstein symmetry.
     """
-    series = _series_to(c, DEFAULT_CUTOFF)
+    series = c.series
+    if len(series) <= DEFAULT_CUTOFF:
+        series = hilbert_series(c.basket, c.genus, DEFAULT_CUTOFF)
     seeded: list[int] = []
     # Seeds are permanent, so each round can only convert residues from
     # organic to seeded coverage; 4 residues per distinct type bounds it.
@@ -187,9 +201,11 @@ def corrected_inference(c: Candidate) -> GradedModel:
         seeded.extend(gaps)
     else:
         raise RuntimeError("polarisation seeding failed to stabilise")
-    top = sum(weights) - 2
-    if top > DEFAULT_CUTOFF:
-        numerator = poly(series_times_weights(_series_to(c, top), weights))
+    half = (sum(weights) - 2) // 2
+    if half >= len(series):
+        series = hilbert_series(c.basket, c.genus, half)
+        numerator = series_times_weights(series, weights)
+    numerator = _gorenstein_completion(numerator, weights)
     return GradedModel(
         weights=weights,
         numerator=numerator,

@@ -26,10 +26,11 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-#: Default truncation degree for series work, and the prefix of every
-#: series that generator inference reads (each candidate meets its first
-#: relation by degree 38).  Deep numerators (degree up to sum(weights) - 2)
-#: need more; callers can always pass their own.
+#: Default truncation degree for series work, and the shortest prefix that
+#: generator inference reads (each enumerated candidate meets its first
+#: relation by degree 38).  A graded-model numerator of degree
+#: sum(weights) - 2 needs the series to half that degree; callers can
+#: always pass their own.
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]

@@ -230,6 +230,24 @@ class TestCertification:
             assert expand(form, 200) == hilbert_series(c.basket, c.genus, 200), (
                 c.basket, c.genus)
 
+    def test_pairs_past_the_degree_cap_are_certified(self, candidates):
+        # inspect also answers for pairs past the degree cap: their greedy
+        # passes meet a relation by the default cutoff, and the numerator
+        # completed by Gorenstein symmetry is the series' own
+        top_genus = {}
+        for c in candidates:
+            top_genus[c.basket] = max(c.genus, top_genus.get(c.basket, -2))
+        pairs = sorted(top_genus.items(), key=lambda bg: str(bg[0]))[::5]
+        for basket, genus in pairs:
+            for g in (genus + 1, genus + 10):
+                m = corrected_inference(candidate(basket, g))
+                top = sum(m.weights) - 2
+                assert poly_degree(m.numerator) == top
+                cut = max(top, 60) + 1
+                form = RationalForm(m.numerator, m.weights)
+                assert expand(form, cut) == hilbert_series(basket, g, cut), (
+                    basket, g)
+
 
 class TestRandomCompleteIntersectionOracle:
     def test_recovers_weights_and_numerator(self):
