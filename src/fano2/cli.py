@@ -5,7 +5,7 @@ Commands
 enumerate        write every candidate with a summary footer
 inspect          full report for one (basket, genus) pair
 verify-tables    check the bundled reference tables, exit 0 iff all pass;
-                 each row is cut as deep as its numerator needs
+                 every row is cut at degree 60
 histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant

@@ -36,6 +36,7 @@ from .series import (
     IntPoly,
     Series,
     _mul_one_minus_tw,
+    gorenstein_completion,
     one_minus_t,
     poly,
     poly_degree,
@@ -94,10 +95,11 @@ class GradedModel:
         return bool(self.seeded)
 
 
-def _greedy(
+def infer_generators(
     series: Series, seeded: Sequence[int] = ()
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One pass of the greedy loop, honouring pre-seeded weights.
+    """One pass of the greedy minimal-generator loop, honouring
+    pre-seeded weights.
 
     Returns (weights, numerator), the numerator being the truncated
     product series * prod (1 - t^w), trimmed.  Raises
@@ -124,13 +126,6 @@ def _greedy(
     raise CutoffExhaustedError(f"no relation up to the cutoff {cutoff}")
 
 
-def infer_generators(
-    series: Series,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Greedy minimal-generator inference; returns (weights, numerator)."""
-    return _greedy(series)
-
-
 def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
     """Degrees that must be adjoined so every basket point is polarised.
 
@@ -150,25 +145,6 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
             gaps.append(degree)
             have.append(degree)
     return gaps
-
-
-def _gorenstein_completion(
-    numerator: Sequence[int], weights: Sequence[int]
-) -> IntPoly:
-    """The Gorenstein numerator over ``weights`` whose coefficients
-    through degree (sum(weights) - 2) // 2 are those of ``numerator``.
-
-    An index-2 Hilbert series satisfies P(1/t) = t^2 P(t) (Serre duality),
-    so a polynomial numerator P(t) * prod (1 - t^w) has n_(top-k) =
-    (-1)^codim n_k with top = sum(w) - 2 (Altinok-Brown-Reid): its lower
-    half determines it.
-    """
-    top = sum(weights) - 2
-    half = top // 2
-    low = list(numerator[: half + 1])
-    low += [0] * (half + 1 - len(low))
-    sign = (-1) ** (len(weights) - 4)
-    return poly(low + [sign * low[top - k] for k in range(half + 1, top + 1)])
 
 
 def corrected_inference(c: Candidate) -> GradedModel:
@@ -194,7 +170,7 @@ def corrected_inference(c: Candidate) -> GradedModel:
     # organic to seeded coverage; 4 residues per distinct type bounds it.
     max_rounds = 4 * len(set(c.basket)) + 2
     for _ in range(max_rounds):
-        weights, numerator = _greedy(series, seeded=seeded)
+        weights, numerator = infer_generators(series, seeded=seeded)
         gaps = polarization_gaps(weights, c.basket)
         if not gaps:
             break
@@ -205,7 +181,7 @@ def corrected_inference(c: Candidate) -> GradedModel:
     if half >= len(series):
         series = hilbert_series(c.basket, c.genus, half)
         numerator = series_times_weights(series, weights)
-    numerator = _gorenstein_completion(numerator, weights)
+    numerator = gorenstein_completion(numerator, weights)
     return GradedModel(
         weights=weights,
         numerator=numerator,

@@ -12,11 +12,12 @@ integers:
 * :class:`RationalForm` is the closed form ``N(t) / prod_w (1 - t^w)``.
 
 Each factor ``1 - t^w`` is a unit in the formal power-series ring, so a
-form expands to any cutoff, and multiplying a series back by
-``prod (1 - t^w)`` recovers the numerator whenever the cutoff leaves
-enough headroom above the numerator degree.  The only rational value
-here is the degree of a form (:func:`degree_from_form`); no floating
-point appears anywhere.
+form expands to any cutoff.  An index-2 Hilbert series has a Gorenstein
+numerator over ``prod (1 - t^w)``, determined by its lower half, so
+multiplying the series back by ``prod (1 - t^w)`` to half the numerator
+degree recovers it (:func:`numerator_wrt_weights`).  The only rational
+value here is the degree of a form (:func:`degree_from_form`); no
+floating point appears anywhere.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ Series = tuple[int, ...]
 
 
 class CutoffTooSmallError(ValueError):
-    """Trailing coefficients near the cutoff are nonzero, so the extracted
-    numerator may be incomplete."""
+    """The series stops below half the Gorenstein degree of the numerator
+    it should determine."""
 
 
 class WrongPoleOrderError(ValueError):
@@ -214,25 +215,44 @@ def series_times_weights(
     return c
 
 
+def gorenstein_completion(
+    numerator: Sequence[int], weights: Sequence[int]
+) -> IntPoly:
+    """The Gorenstein numerator over ``weights`` whose coefficients
+    through degree (sum(weights) - 2) // 2 are those of ``numerator``.
+
+    An index-2 Hilbert series satisfies P(1/t) = t^2 P(t) (Serre duality),
+    so a polynomial numerator P(t) * prod (1 - t^w) has n_(top-k) =
+    (-1)^codim n_k with top = sum(w) - 2 (Altinok-Brown-Reid): its lower
+    half determines it.
+    """
+    top = sum(weights) - 2
+    half = top // 2
+    low = list(numerator[: half + 1])
+    low += [0] * (half + 1 - len(low))
+    sign = (-1) ** (len(weights) - 4)
+    return poly(low + [sign * low[top - k] for k in range(half + 1, top + 1)])
+
+
 def numerator_wrt_weights(
     series: Series, weights: Sequence[int]
 ) -> IntPoly:
-    """Rewrite a series over the denominator prod_w (1 - t^w).
+    """The Gorenstein numerator of an index-2 series over prod_w (1 - t^w).
 
-    Returns the numerator polynomial, trimmed.  If any coefficient in the
-    top max(weights) degrees is nonzero the true numerator may extend past
-    the cutoff and :class:`CutoffTooSmallError` is raised.
+    Reads series * prod (1 - t^w) to half the degree sum(weights) - 2 and
+    completes it by :func:`gorenstein_completion`.  Raises
+    :class:`CutoffTooSmallError` when the series is shorter than that half.
+    Whether the numerator reproduces the series is for the caller to check.
     """
-    c = series_times_weights(series, weights)
-    window = max(weights, default=0)
-    cut = len(series) - 1
-    for k in range(cut - window + 1, cut + 1):
-        if c[k] != 0:
-            raise CutoffTooSmallError(
-                f"nonzero coefficient at degree {k} within {window} of the "
-                f"cutoff {cut}; numerator may be incomplete"
-            )
-    return poly(c)
+    half = (sum(weights) - 2) // 2
+    if half >= len(series):
+        raise CutoffTooSmallError(
+            f"the series stops at degree {len(series) - 1}, below half "
+            f"the Gorenstein degree {sum(weights) - 2}"
+        )
+    return gorenstein_completion(
+        series_times_weights(series[: half + 1], weights), weights
+    )
 
 
 def degree_from_form(form: RationalForm) -> Fraction:

@@ -22,9 +22,9 @@ ENUMERATE_JSON_SHA256 = (
     "71b10a8b503a80d79d6313b51521dbc7714151566b705fae32d3471e6a582731"
 )
 
-#: SHA-256 of the other stable outputs.  ``histogram --by codim`` and
-#: ``verify-tables`` are left unpinned: certified models and shape
-#: recognition are meant to change them.
+#: SHA-256 of the other stable outputs.  ``histogram --by codim`` is left
+#: unpinned: certified models and shape recognition are meant to change
+#: it.  ``verify-tables`` is pinned in full below.
 OUTPUT_SHA256 = {
     "enumerate":
         "4f04316b7e39a1a55bdc8d2a0ecdd951c595a371a9940c381e92f1a87b24ccac",
@@ -261,9 +261,18 @@ class TestInspect:
 
 class TestVerifyTables:
     def test_summary_line_and_exit(self, capsys):
-        code, out, _ = run(capsys, "verify-tables")
+        code, out, err = run(capsys, "verify-tables")
         # the two equal-degree-pair rows fail weight recovery by design
-        assert out.splitlines()[0] == "Table1 8/8 Table2 26/26 Table3 2/2 Table4 33/35"
+        assert out == (
+            "Table1 8/8 Table2 26/26 Table3 2/2 Table4 33/35\n"
+            "FAIL X in P(1,1,1,1,1,2,2,3): checks failed: weights (inferred"
+            " weights (1, 1, 1, 1, 1, 2, 3) != tabulated"
+            " (1, 1, 1, 1, 1, 2, 2, 3))\n"
+            "FAIL X in P(1,1,1,2,2,2,3,3): checks failed: weights (inferred"
+            " weights (1, 1, 1, 2, 2, 2, 3) != tabulated"
+            " (1, 1, 1, 2, 2, 2, 3, 3))\n"
+        )
+        assert err == ""
         assert code == 1
 
     def test_tables_1_to_3_clean(self, capsys):
@@ -276,8 +285,7 @@ class TestVerifyTables:
         "flags", [("--cutoff", "60"), ("--cutoff", "2"), ("--format", "text")]
     )
     def test_cutoff_and_format_are_not_options(self, capsys, flags):
-        # each row is cut as deep as its numerator needs, and the report
-        # is text only
+        # every row is cut at degree 60, and the report is text only
         with pytest.raises(SystemExit) as exc:
             main(["verify-tables", *flags])
         assert exc.value.code == 2

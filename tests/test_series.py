@@ -89,17 +89,20 @@ class TestNumeratorExtraction:
         series = expand(form, 60)
         assert numerator_wrt_weights(series, (2, 3, 5, 11, 19)) == form.numerator
 
-    def test_trivial_geometric(self):
-        series = expand(RationalForm((1,), (1,)), 10)
-        assert numerator_wrt_weights(series, (1,)) == (1,)
+    def test_cubic_threefold(self):
+        # (1 - t^3) / (1 - t)^5: top degree 5 - 2 = 3, sign -1 in codim 1
+        series = expand(RationalForm(one_minus_t(3), (1,) * 5), 10)
+        assert numerator_wrt_weights(series, (1,) * 5) == (1, 0, 0, -1)
 
     def test_cutoff_too_small_reported(self):
-        # Numerator degree 7 lands inside the max-weight window below the
-        # cutoff 8, so the extraction must refuse to certify it.
-        form = RationalForm((1,) + (0,) * 6 + (-1,), (1, 1, 2, 3))
-        series = expand(form, 8)
+        # X38 in P(2,3,5,11,19) has Gorenstein degree 38: a series that
+        # stops below degree 19 cannot determine its numerator
+        form = RationalForm((1,) + (0,) * 37 + (-1,), (2, 3, 5, 11, 19))
+        assert numerator_wrt_weights(expand(form, 19), form.denom_weights) == (
+            form.numerator
+        )
         with pytest.raises(CutoffTooSmallError):
-            numerator_wrt_weights(series, (1, 1, 2, 3))
+            numerator_wrt_weights(expand(form, 18), form.denom_weights)
 
 
 class TestDegreeFromForm:
@@ -161,17 +164,24 @@ class TestProperties:
         assert expand(doubled, 12) == tuple(2 * c for c in expand(f, 12))
 
     @given(
-        st.lists(st.integers(1, 5), min_size=4, max_size=6),
-        st.lists(st.integers(6, 12), min_size=1, max_size=2),
+        st.lists(st.integers(1, 6), min_size=5, max_size=6),
+        st.data(),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_numerator_round_trip(self, weights, rel_degrees):
+    @settings(max_examples=60, deadline=None)
+    def test_numerator_round_trip(self, weights, data):
+        # A hypersurface (5 weights) or codim-2 complete intersection (6)
+        # whose relation degrees sum to sum(w) - 2 has a Gorenstein
+        # numerator; the series to half that degree recovers it.
+        top = sum(weights) - 2
+        if len(weights) == 5:
+            degrees = (top,)
+        else:
+            first = data.draw(st.integers(1, top - 1))
+            degrees = (first, top - first)
         num = (1,)
-        for d in rel_degrees:
+        for d in degrees:
             num = poly_mul(num, one_minus_t(d))
-        cutoff = sum(rel_degrees) + max(weights) + 2
-        form = RationalForm(num, tuple(weights))
-        series = expand(form, cutoff)
+        series = expand(RationalForm(num, tuple(weights)), top // 2)
         assert numerator_wrt_weights(series, tuple(weights)) == num
 
     @given(small_polys, st.integers(0, 3))

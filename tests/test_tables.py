@@ -8,13 +8,12 @@ import pytest
 
 from fano2.graded_rings import pfaffian_numerator
 from fano2.riemann_roch import hilbert_series
-from fano2.series import RationalForm, degree_from_form
+from fano2.series import DEFAULT_CUTOFF, RationalForm, degree_from_form
 from fano2.tables import (
     FixtureIntegrityError,
     entry_genus,
     load_table_entries,
     model_numerator,
-    required_cutoff,
     verify_all,
     verify_table_entry,
 )
@@ -88,10 +87,31 @@ class TestVerification:
             report = reports[label]
             assert report.failed_checks() == ["weights"]
 
-    def test_deep_rows_get_extended_cutoff(self, entries):
+    def test_deepest_row_verifies_at_the_default_cutoff(self, entries):
         deep = next(e for e in entries if e.label == "X in P(2,2,3,5,5,7,12,17)")
-        assert required_cutoff(deep) == 69
+        assert sum(deep.weights) - 2 == 51 < DEFAULT_CUTOFF
         assert verify_table_entry(deep).ok
+
+    def test_wrong_table_4_weights_fail_without_raising(self, entries):
+        # Bumping the last weight breaks the row; a few bumped rows still
+        # reproduce the series but then fail weight recovery.
+        rows = [e for e in entries if e.table_id == 4]
+        assert len(rows) == 35
+        for e in rows:
+            bad = dataclasses.replace(
+                e, weights=e.weights[:-1] + (e.weights[-1] + 1,)
+            )
+            assert not verify_table_entry(bad).ok, e.label
+
+    def test_numerator_past_the_gorenstein_degree_fails(self, entries):
+        # (1 - t^6)(1 - t^70) / P(1,1,1,2,3) agrees with the series up to
+        # degree 60 but has degree 76 > 6 and pole order 3 at t = 1.
+        entry = next(e for e in entries if e.label == "X6 in P(1,1,1,2,3)")
+        bad = dataclasses.replace(entry, relation_degrees=(6, 70))
+        report = verify_table_entry(bad)
+        assert not report.checks["series"]
+        assert not report.checks["degree"]
+        assert not report.checks["palindromy"]
 
     def test_perturbed_degree_is_caught(self, entries):
         entry = next(e for e in entries if e.label == "X22 in P(1,2,3,7,11)")
