@@ -19,7 +19,6 @@ from .classify import (
     K3_RANK_BOUND,
     anticanonical_sections,
     candidate,
-    candidate_from_record,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,
@@ -48,10 +47,10 @@ from .riemann_roch import (
     UNSTABLE,
     acz12_from_basket,
     base_degree,
+    genus_range,
     hilbert_series,
     kawamata_status,
     periodic_term,
-    periodic_term_raw,
     plurigenus,
     polarisation_residual,
     scaled_invariants,

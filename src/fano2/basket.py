@@ -186,16 +186,16 @@ def parse_basket(text: str) -> Basket:
 
 @cache
 def singularity_universe() -> tuple[SingularityType, ...]:
-    """All types whose load alone fits the bound: odd r with
-    (r^2-1)/r < 24 (so r <= 23) and a in 1..(r-1)/2 coprime to r."""
-    out = []
-    for r in range(3, 25, 2):
-        if Fraction(r * r - 1, r) >= BASKET_BOUND:
-            continue
-        for a in range(1, (r - 1) // 2 + 1):
-            if gcd(a, r) == 1:
-                out.append(SingularityType(r, a))
-    return tuple(sorted(out))
+    """All types whose load alone fits the bound, in (r, a) order: odd r
+    with cost below BASKET_BOUND (so r <= 23) and a in 1..(r-1)/2 coprime
+    to r."""
+    types = (
+        SingularityType(r, a)
+        for r in range(3, 25, 2)
+        for a in range(1, (r - 1) // 2 + 1)
+        if gcd(a, r) == 1
+    )
+    return tuple(s for s in types if s.cost < BASKET_BOUND)
 
 
 def enumerate_baskets() -> list[Basket]:
@@ -204,12 +204,13 @@ def enumerate_baskets() -> list[Basket]:
     Output order is lexicographic on the sorted (r, a) sequences, which a
     depth-first walk over the sorted universe produces directly; the
     result is deterministic and diffable.  The walk runs on integer loads:
-    every (r^2 - 1)/r and the bound 24 are scaled by the lcm of the
-    indices in the universe, which compares exactly as the rationals do.
+    every cost and the bound are scaled by the lcm of the indices in the
+    universe, which clears their denominators, so the integers compare
+    exactly as the rationals do.
     """
     universe = singularity_universe()
     scale = lcm(*(s.r for s in universe))
-    loads = [(s.r * s.r - 1) * (scale // s.r) for s in universe]
+    loads = [int(s.cost * scale) for s in universe]
     out: list[Basket] = []
     acc: list[SingularityType] = []
 
@@ -221,5 +222,5 @@ def enumerate_baskets() -> list[Basket]:
                 walk(i, remaining - loads[i])
                 acc.pop()
 
-    walk(0, 24 * scale)
+    walk(0, int(BASKET_BOUND * scale))
     return out

@@ -2,12 +2,15 @@
 
 A candidate is a pair (basket, genus) passing every numerical filter:
 basket load < 24, polarisation residual 0, degree A^3 = base + genus + 2
-strictly positive and at most (48/5)(Ac2/12).  The genus range -2..9 is
-not imposed anywhere; it emerges from the filters and is asserted by the
+strictly positive and at most (48/5)(Ac2/12), the genera of
+:func:`~fano2.riemann_roch.genus_range`.  The genus range -2..9 is not
+imposed anywhere; it emerges from the filters and is asserted by the
 test suite.
 
-Candidates serialise to JSON records and CSV rows with a fixed field
+Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
+Records are output only: they are never read back, and :func:`candidate`
+is the one way to build a candidate.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, TextIO
 
-from .basket import Basket, SingularityType, enumerate_baskets, parse_basket
+from .basket import Basket, enumerate_baskets
 from .riemann_roch import (
+    genus_range,
     hilbert_series,
     kawamata_status,
     scaled_invariants,
@@ -49,15 +53,23 @@ RECORD_FIELDS = (
 
 @dataclass(frozen=True)
 class Candidate:
-    """One admissible (basket, genus) pair with its derived data."""
+    """One admissible (basket, genus) pair with its derived data.
+
+    ``status`` is the :func:`~fano2.riemann_roch.kawamata_status` of the
+    degree: stable, unstable, or rejected past the degree cap.
+    """
 
     basket: Basket
     genus: int
     a3: Fraction
     acz12: Fraction
-    stable: bool
+    status: str
     series: Series
     k3_obstructed: bool
+
+    @property
+    def stable(self) -> bool:
+        return self.status == STABLE
 
 
 def anticanonical_sections(c: Candidate) -> int:
@@ -70,10 +82,10 @@ def candidate(
 ) -> Candidate:
     """The candidate data of one (basket, genus) pair, A^3 = base + genus + 2.
 
-    The degree cap is not applied: ``stable`` is False for a pair past it
-    as for an unstable one.  Raises :class:`BasketBoundError`,
-    :class:`PolarisationResidualError` or :class:`NonpositiveDegreeError`
-    as :func:`hilbert_series` does.
+    The degree cap is not applied: a pair past it has status
+    ``rejected``, and ``stable`` is False for it as for an unstable one.
+    Raises :class:`BasketBoundError`, :class:`PolarisationResidualError`
+    or :class:`NonpositiveDegreeError` as :func:`hilbert_series` does.
     """
     if cutoff < 2:
         raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
@@ -86,7 +98,7 @@ def candidate(
         genus=genus,
         a3=a3,
         acz12=acz12,
-        stable=kawamata_status(a3, acz12) == STABLE,
+        status=kawamata_status(a3, acz12),
         series=series,
         k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
     )
@@ -96,14 +108,7 @@ def candidate(
 def _enumerate(cutoff: int) -> tuple[Candidate, ...]:
     out: list[Candidate] = []
     for basket in enumerate_baskets():
-        d, acz12_d, base_d = scaled_invariants(basket)
-        # N runs from the smallest value with base + N > 0 up to the
-        # unconditional cap base + N <= (48/5)(Ac2/12), all over D
-        n_min = max(0, -base_d // d + 1)
-        n_max = (48 * acz12_d - 5 * base_d) // (5 * d)
-        out.extend(
-            candidate(basket, n - 2, cutoff) for n in range(n_min, n_max + 1)
-        )
+        out.extend(candidate(basket, g, cutoff) for g in genus_range(basket))
     return tuple(out)
 
 
@@ -175,20 +180,6 @@ def candidate_record(c: Candidate) -> dict:
     }
 
 
-def candidate_from_record(record: dict) -> Candidate:
-    """Inverse of :func:`candidate_record`; round-trips exactly."""
-    basket = Basket(tuple(SingularityType(r, a) for r, a in record["basket"]))
-    return Candidate(
-        basket=basket,
-        genus=int(record["genus"]),
-        a3=Fraction(record["A3"]),
-        acz12=Fraction(record["Ac2_over_12"]),
-        stable=bool(record["stable"]),
-        series=tuple(record["series"]),
-        k3_obstructed=bool(record["k3_obstructed"]),
-    )
-
-
 def write_json(candidates: Iterable[Candidate], fp: TextIO) -> None:
     fp.write(json.dumps([candidate_record(c) for c in candidates]) + "\n")
 
@@ -213,17 +204,3 @@ def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:
                 " ".join(str(x) for x in rec["series"]),
             ]
         )
-
-
-def candidate_from_csv_row(row: Sequence[str]) -> Candidate:
-    """Rebuild a candidate from a CSV data row (column order as written)."""
-    basket = parse_basket(row[0])
-    return Candidate(
-        basket=basket,
-        genus=int(row[1]),
-        a3=Fraction(row[2]),
-        acz12=Fraction(row[3]),
-        stable=row[4] == "True",
-        series=tuple(int(x) for x in row[8].split()),
-        k3_obstructed=row[7] == "True",
-    )

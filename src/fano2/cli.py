@@ -45,14 +45,12 @@ from .classify import (
 from .graded_rings import (
     REFERENCE_CODIM_COUNTS,
     CutoffExhaustedError,
-    codim_histogram,
     corrected_inference,
 )
 from .riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
     PolarisationResidualError,
-    kawamata_status,
 )
 from .series import DEFAULT_CUTOFF, RationalForm, poly_str
 from .tables import verify_all
@@ -187,13 +185,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"error: degree not positive: {exc}", file=sys.stderr)
         return 1
 
-    # inspect reports pairs past the degree cap too, so the status is
-    # three-valued here where the candidate's ``stable`` is a bool
-    status = kawamata_status(c.a3, c.acz12)
     model = corrected_inference(c)
     if args.format == "json":
         payload = candidate_record(c) | {
-            "status": status,
+            "status": c.status,
             "weights": list(model.weights),
             "numerator": list(model.numerator),
             "shape": model.shape,
@@ -207,7 +202,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"genus:       {c.genus}",
         f"A3:          {c.a3}",
         f"Ac2/12:      {c.acz12}",
-        f"status:      {status}",
+        f"status:      {c.status}",
         f"singular rank: {basket.singular_rank}"
         + ("  (no K3 elephant)" if c.k3_obstructed else ""),
         f"series:      {', '.join(str(x) for x in c.series[:13])}, ...",
@@ -262,7 +257,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
         # K3-obstructed candidates have no K3 section to compare against,
         # so they are excluded, matching the reference's population.
         models = [corrected_inference(c) for c in cands if not c.k3_obstructed]
-        ours = codim_histogram(models)
+        ours = Counter(m.codim for m in models)
         keys = sorted(set(ours) | set(REFERENCE_CODIM_COUNTS))
         if args.format == "csv":
             buf.write("codim,inferred,reference\n")

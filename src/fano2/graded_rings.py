@@ -259,11 +259,3 @@ def classify_shape(weights: Sequence[int], numerator: Sequence[int]) -> str:
         return UNKNOWN
     return shape if rebuilt == num else UNKNOWN
 
-
-def codim_histogram(models: Sequence[GradedModel]) -> dict[int, int]:
-    """Counts of inferred codimension (lower bounds included at face
-    value); for display next to REFERENCE_CODIM_COUNTS."""
-    out: dict[int, int] = {}
-    for m in models:
-        out[m.codim] = out.get(m.codim, 0) + 1
-    return dict(sorted(out.items()))

@@ -1,23 +1,26 @@
 """Orbifold Riemann-Roch for polarised 3-folds with -K = 2A.
 
-For a basket point 1/r(a, -a, 2) the periodic correction to chi(nA) is
+For a basket point s = 1/r(a, -a, 2) the periodic correction to chi(nA) is
 
     per(n) = -i_n (r^2 - 1) / (12 r)
              + sum_{j=1}^{i_n - 1} bar(bj) (r - bar(bj)) / (2 r)
 
-with i_n the local index of nA, b the solution of a b = 2 (mod r), and
-bar the residue in [0, r-1].  The sum over the basket enters both the
-single-value formula :func:`plurigenus` and the full series
-:func:`hilbert_series`; the two are computed along deliberately separate
-code paths (direct evaluation versus power-series expansion) so that one
-can oracle the other.
+with i_n = s.local_index(n) the local index of nA, b = s.b the solution
+of a b = 2 (mod r), and bar the residue in [0, r-1].  The sum over the
+basket enters both the single-value formula :func:`plurigenus` and the
+full series :func:`hilbert_series`; the two are computed along
+deliberately separate code paths (direct evaluation versus power-series
+expansion) so that one can oracle the other.
 
 Global quantities, for a basket B and ample Weil divisor A:
 
-    Ac2/12   = 1 - sum (r^2 - 1) / (24 r)          (positive by the bound)
+    Ac2/12   = 1 - load(B) / 24, load(B) = sum (r^2 - 1) / r  (positive by
+               the bound)
     A^3      = base_degree(B) + N for an integer N >= 0, with genus N - 2
-    degree cap: A^3 <= (48/5) (Ac2/12), tightening to 9 (Ac2/12) in the
-    mu-semistable (Bogomolov-Kawamata) case.
+    degree cap: A^3 <= DEGREE_CAP (Ac2/12) = (48/5) (Ac2/12), tightening to
+    STABLE_DEGREE_CAP (Ac2/12) = 9 (Ac2/12) in the mu-semistable
+    (Bogomolov-Kawamata) case; :func:`genus_range` lists the genera
+    within the first cap.
 """
 
 from __future__ import annotations
@@ -39,6 +42,11 @@ from .series import (
 #: The Fano index this package instantiates; -K = FANO_INDEX * A.
 FANO_INDEX = 2
 
+#: Unconditional degree cap: A^3 <= DEGREE_CAP * Ac2/12.
+DEGREE_CAP = Fraction(48, 5)
+#: Degree cap of a Bogomolov-Kawamata stable pair: A^3 <= 9 Ac2/12.
+STABLE_DEGREE_CAP = 9
+
 STABLE = "stable"
 UNSTABLE = "unstable"
 REJECTED = "rejected"
@@ -57,14 +65,11 @@ class PolarisationResidualError(ValueError):
     vanish.  Never observed on an admissible basket."""
 
 
-def periodic_term_raw(r: int, a: int, n: int) -> Fraction:
-    """Periodic Riemann-Roch correction for 1/r(a, -a, 2) at nA.
-
-    Accepts any a coprime to (odd) r, canonical or not; the value only
-    depends on the germ, so a and r - a give the same answer.
-    """
-    i = -n * pow(2, -1, r) % r
-    b = 2 * pow(a, -1, r) % r
+@cache
+def periodic_term(s: SingularityType, n: int) -> Fraction:
+    """Periodic correction of the basket point s at nA; r-periodic in n,
+    vanishing when r divides n."""
+    r, b, i = s.r, s.b, s.local_index(n)
     term = -Fraction(i * (r * r - 1), 12 * r)
     if i > 1:
         term += Fraction(
@@ -74,24 +79,17 @@ def periodic_term_raw(r: int, a: int, n: int) -> Fraction:
 
 
 @cache
-def periodic_term(s: SingularityType, n: int) -> Fraction:
-    """Periodic correction of the basket point s at nA; r-periodic in n,
-    vanishing when r divides n."""
-    return periodic_term_raw(s.r, s.a, n)
-
-
-@cache
 def acz12_from_basket(basket: Basket) -> Fraction:
-    """A c2(X) / 12 = (24 - sum (r^2-1)/r) / 24; raises when not positive.
+    """A c2(X) / 12 = 1 - load / 24; raises when not positive.
 
     Cached per basket: the residual, the base degree and every plurigenus
     of the basket start from it.
     """
-    value = 1 - sum((Fraction(s.r * s.r - 1, 24 * s.r) for s in basket),
-                    Fraction(0))
+    load = basket.cost
+    value = 1 - load / 24
     if value <= 0:
         raise BasketBoundError(
-            f"basket load {basket.cost} reaches 24 (A c2 would be <= 0)"
+            f"basket load {load} reaches 24 (A c2 would be <= 0)"
         )
     return value
 
@@ -127,9 +125,9 @@ def kawamata_status(a3: Fraction, acz12: Fraction) -> str:
     ``unstable`` up to the unconditional cap (48/5)(Ac2/12), ``rejected``
     beyond it.
     """
-    if a3 <= 9 * acz12:
+    if a3 <= STABLE_DEGREE_CAP * acz12:
         return STABLE
-    if a3 <= Fraction(48, 5) * acz12:
+    if a3 <= DEGREE_CAP * acz12:
         return UNSTABLE
     return REJECTED
 
@@ -184,6 +182,21 @@ def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
         )
     d = 24 * lcm(*(s.r for s in basket))
     return d, _scaled(acz12, d), _scaled(base_degree(basket), d)
+
+
+def genus_range(basket: Basket) -> range:
+    """Every genus with 0 < A^3 <= DEGREE_CAP (Ac2/12), A^3 = base + genus + 2.
+
+    Computed in integers over the D of :func:`scaled_invariants`, with
+    N = genus + 2 >= 0 (h^0(A) = N): N runs from the smallest value with
+    base + N > 0 to the largest with q (base + N) <= p (Ac2/12), where
+    DEGREE_CAP = p/q.
+    """
+    d, acz12_d, base_d = scaled_invariants(basket)
+    p, q = DEGREE_CAP.numerator, DEGREE_CAP.denominator
+    n_min = max(0, -base_d // d + 1)
+    n_max = (p * acz12_d - q * base_d) // (q * d)
+    return range(n_min - 2, n_max - 1)
 
 
 def hilbert_series(

@@ -8,14 +8,17 @@ from math import floor
 
 import pytest
 
-from fano2.basket import Basket, enumerate_baskets, parse_basket
+from fano2.basket import (
+    Basket,
+    SingularityType,
+    enumerate_baskets,
+    parse_basket,
+)
 from fano2.classify import (
     K3_RANK_BOUND,
     RECORD_FIELDS,
     anticanonical_sections,
     candidate,
-    candidate_from_csv_row,
-    candidate_from_record,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,
@@ -24,10 +27,14 @@ from fano2.classify import (
     write_json,
 )
 from fano2.riemann_roch import (
+    REJECTED,
+    STABLE,
     BasketBoundError,
     NonpositiveDegreeError,
     acz12_from_basket,
     base_degree,
+    genus_range,
+    kawamata_status,
 )
 
 
@@ -49,6 +56,12 @@ class TestCandidateInvariants:
             else:
                 assert c.a3 > 9 * c.acz12
 
+    def test_status_is_kawamata_status(self, candidates):
+        assert len(candidates) == 1492
+        for c in candidates:
+            assert c.status == kawamata_status(c.a3, c.acz12)
+            assert c.stable == (c.status == STABLE)
+
     def test_degree_range_matches_fraction_floors(self, candidates):
         # Per basket, N = genus + 2 runs from the smallest N >= 0 with
         # base + N > 0 to the largest with base + N <= (48/5)(Ac2/12).
@@ -60,6 +73,7 @@ class TestCandidateInvariants:
             cap = Fraction(48, 5) * acz12_from_basket(b)
             expected = range(max(0, floor(-base) + 1), floor(cap - base) + 1)
             assert found.get(b, []) == list(expected), str(b)
+            assert [g + 2 for g in genus_range(b)] == list(expected), str(b)
 
     def test_constructor_rebuilds_every_candidate(self, candidates):
         for c in candidates:
@@ -69,6 +83,7 @@ class TestCandidateInvariants:
         # 61/3 lies past (48/5)(8/9) = 128/15: no candidate, still built
         c = candidate(parse_basket("3/1"), 20)
         assert (c.a3, c.acz12, c.stable) == (Fraction(61, 3), Fraction(8, 9), False)
+        assert c.status == REJECTED
         assert c.series[:3] == (1, 22, 84)
 
     def test_constructor_errors(self):
@@ -140,7 +155,15 @@ class TestSerialisation:
     def test_json_round_trip(self, candidates):
         for c in candidates[::97]:
             rec = json.loads(json.dumps(candidate_record(c)))
-            assert candidate_from_record(rec) == c
+            types = (SingularityType(r, a) for r, a in rec["basket"])
+            assert Basket(tuple(types)) == c.basket
+            assert rec["genus"] == c.genus
+            assert Fraction(rec["A3"]) == c.a3
+            assert Fraction(rec["Ac2_over_12"]) == c.acz12
+            assert rec["stable"] is c.stable
+            assert (rec["h0_A"], rec["h0_2A"]) == c.series[1:3]
+            assert rec["k3_obstructed"] is c.k3_obstructed
+            assert tuple(rec["series"]) == c.series
 
     def test_rationals_serialised_exactly(self, candidates):
         c = next(x for x in candidates if x.a3 == Fraction(1, 165))
@@ -165,8 +188,15 @@ class TestSerialisation:
         assert rows[0] == list(RECORD_FIELDS)
         assert len(rows) == len(sample) + 1
         assert all(len(r) == len(RECORD_FIELDS) for r in rows[1:])
-        rebuilt = [candidate_from_csv_row(r) for r in rows[1:]]
-        assert rebuilt == sample
+        for row, c in zip(rows[1:], sample):
+            assert parse_basket(row[0]) == c.basket
+            assert int(row[1]) == c.genus
+            assert Fraction(row[2]) == c.a3
+            assert Fraction(row[3]) == c.acz12
+            assert row[4] == str(c.stable)
+            assert (int(row[5]), int(row[6])) == c.series[1:3]
+            assert row[7] == str(c.k3_obstructed)
+            assert tuple(int(x) for x in row[8].split()) == c.series
 
     def test_stable_filter(self, candidates):
         stable = enumerate_candidates(stable_only=True)
