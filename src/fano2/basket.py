@@ -19,6 +19,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import count, takewhile
 from math import gcd, lcm
 from typing import Iterator
 
@@ -187,15 +188,18 @@ def parse_basket(text: str) -> Basket:
 @cache
 def singularity_universe() -> tuple[SingularityType, ...]:
     """All types whose load alone fits the bound, in (r, a) order: odd r
-    with cost below BASKET_BOUND (so r <= 23) and a in 1..(r-1)/2 coprime
-    to r."""
-    types = (
+    while the cost (r^2 - 1)/r stays below BASKET_BOUND (so r <= 23), and
+    a in 1..(r-1)/2 coprime to r.  The cost depends on r alone, so the
+    type 1/r(1, r-1, 2) stands for the index."""
+    indices = takewhile(
+        lambda r: SingularityType(r, 1).cost < BASKET_BOUND, count(3, 2)
+    )
+    return tuple(
         SingularityType(r, a)
-        for r in range(3, 25, 2)
+        for r in indices
         for a in range(1, (r - 1) // 2 + 1)
         if gcd(a, r) == 1
     )
-    return tuple(s for s in types if s.cost < BASKET_BOUND)
 
 
 def enumerate_baskets() -> list[Basket]:

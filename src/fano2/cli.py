@@ -16,6 +16,9 @@ series to degree 60 at least, and as deep as their numerators need,
 whatever the cutoff; a deeper cutoff only lets generator inference look
 further for its first relation, which no enumerated candidate needs.
 
+The parser is built once per process, on the first :func:`main` call, so
+a long-lived caller pays for it once.
+
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
 printed exactly as p/q, never as floats.
@@ -28,6 +31,7 @@ import json
 import sys
 from collections import Counter
 from collections.abc import Callable, Sequence
+from functools import cache
 from io import StringIO
 from pathlib import Path
 
@@ -56,7 +60,10 @@ from .series import DEFAULT_CUTOFF, RationalForm, poly_str
 from .tables import verify_all
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared: parsing
+    does not change it, so every later :func:`main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="fano2",
         description=(

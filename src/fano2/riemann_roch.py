@@ -78,19 +78,23 @@ def periodic_term(s: SingularityType, n: int) -> Fraction:
     return term
 
 
+def _overweight(basket: Basket) -> BasketBoundError:
+    return BasketBoundError(
+        f"basket load {basket.cost} reaches 24 (A c2 would be <= 0)"
+    )
+
+
 @cache
 def acz12_from_basket(basket: Basket) -> Fraction:
     """A c2(X) / 12 = 1 - load / 24; raises when not positive.
 
-    Cached per basket: the residual, the base degree and every plurigenus
-    of the basket start from it.
+    The Fraction oracle of the integer constant in
+    :func:`scaled_invariants`; cached per basket because every
+    :func:`plurigenus` of the basket starts from it.
     """
-    load = basket.cost
-    value = 1 - load / 24
+    value = 1 - basket.cost / 24
     if value <= 0:
-        raise BasketBoundError(
-            f"basket load {load} reaches 24 (A c2 would be <= 0)"
-        )
+        raise _overweight(basket)
     return value
 
 
@@ -98,8 +102,9 @@ def polarisation_residual(basket: Basket) -> Fraction:
     """(1 + sum per(-1)) - Ac2/12.  Admissible baskets give exactly 0.
 
     Observed to vanish identically under the pinned local-index
-    convention (per(s, -1) = -(r^2-1)/(24r) pointwise); kept as an
-    enforced check rather than an assumption.
+    convention (per(s, -1) = -(r^2-1)/(24r) pointwise);
+    :func:`scaled_invariants` enforces it in integers rather than assume
+    it, and this Fraction form is its oracle.
     """
     total = 1 + sum((periodic_term(s, -1) for s in basket), Fraction(0))
     return total - acz12_from_basket(basket)
@@ -163,25 +168,56 @@ def _periodic_series(s: SingularityType, cutoff: int) -> Series:
 
 
 @cache
+def _type_constants(s: SingularityType) -> tuple[int, int, int]:
+    """r^2 - 1, 24 r per(s, 1) and 24 r per(s, -1): the integers one
+    point of type s contributes to :func:`scaled_invariants`, in units
+    of 1/(24 r)."""
+    d = 24 * s.r
+    return (
+        _scaled(s.cost, s.r),
+        _scaled(periodic_term(s, 1), d),
+        _scaled(periodic_term(s, -1), d),
+    )
+
+
+@cache
 def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
     """(D, D Ac2/12, D base_degree) with D = 24 lcm(r) over the basket.
 
     D clears the denominators of Ac2/12, of base_degree and of every
     periodic term, so the basket's Riemann-Roch constants are exact
-    integers over one common denominator, computed once per basket.
-    Raises :class:`BasketBoundError` for an overweight basket and
-    :class:`PolarisationResidualError` for a nonzero residual, so only
-    admissible baskets are cached.
+    integers over one common denominator, computed once per basket from
+    the per-type integers of :func:`_type_constants`, each point of index
+    r weighted by m = D / (24 r):
+
+        D Ac2/12       = D - sum m (r^2 - 1)
+        D residual     = D + sum m 24 r per(-1) - D Ac2/12
+        D base_degree  = -D - D Ac2/12 - sum m 24 r per(1)
+
+    :func:`acz12_from_basket`, :func:`polarisation_residual` and
+    :func:`base_degree` compute the same numbers on Fraction, as the
+    test suite's oracle.  Raises :class:`BasketBoundError` for an
+    overweight basket and :class:`PolarisationResidualError` for a
+    nonzero residual, so only admissible baskets are cached.
     """
-    acz12 = acz12_from_basket(basket)
-    if polarisation_residual(basket) != 0:
+    d = 24 * lcm(*(s.r for s in basket))
+    load = per_plus = per_minus = 0
+    for s in basket:
+        m = d // (24 * s.r)
+        cost, plus, minus = _type_constants(s)
+        load += m * cost
+        per_plus += m * plus
+        per_minus += m * minus
+    acz12_d = d - load
+    if acz12_d <= 0:
+        raise _overweight(basket)
+    if d + per_minus - acz12_d != 0:
         # A nonzero residual would be major news: fail loudly rather
         # than silently dropping the basket.
         raise PolarisationResidualError(
             f"polarisation residual nonzero for basket [{basket}]"
         )
-    d = 24 * lcm(*(s.r for s in basket))
-    return d, _scaled(acz12, d), _scaled(base_degree(basket), d)
+    return d, acz12_d, -d - acz12_d - per_plus
 
 
 def genus_range(basket: Basket) -> range:

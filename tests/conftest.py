@@ -1,6 +1,6 @@
 import pytest
 
-from fano2 import enumerate_candidates, scaled_invariants
+from fano2 import enumerate_candidates, riemann_roch, scaled_invariants
 
 
 @pytest.fixture(scope="session")
@@ -11,9 +11,13 @@ def candidates():
 
 @pytest.fixture
 def fresh_invariants():
-    """Empty the per-basket cache of scaled_invariants around a test that
-    monkeypatches a Fraction constant behind it, so that the patch is
-    seen and none of its values outlive the test."""
-    scaled_invariants.cache_clear()
+    """Empty the per-basket cache of scaled_invariants and the per-type
+    cache behind it around a test that monkeypatches a constant they
+    read, so that the patch is seen and none of its values outlive the
+    test."""
+    caches = (scaled_invariants, riemann_roch._type_constants)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    scaled_invariants.cache_clear()
+    for cached in caches:
+        cached.cache_clear()

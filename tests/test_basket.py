@@ -116,6 +116,18 @@ class TestUniverseAndEnumeration:
         assert all(s.cost < 24 for s in universe)
         assert max(s.r for s in universe) == 23
 
+    def test_universe_is_every_type_under_the_bound(self):
+        # Past r = 23 the load (r^2 - 1)/r only grows, so a search to
+        # r = 41 finds every type whose load alone stays below 24.
+        every = [
+            SingularityType(r, a)
+            for r in range(3, 42, 2)
+            for a in range(1, (r - 1) // 2 + 1)
+            if gcd(a, r) == 1 and Fraction(r * r - 1, r) < 24
+        ]
+        assert singularity_universe() == tuple(every)
+        assert len(every) == 58
+
     def test_enumeration_contains_empty_basket(self):
         baskets = enumerate_baskets()
         assert baskets[0] == Basket()

@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -14,7 +13,7 @@ import pytest
 
 import fano2
 from fano2 import riemann_roch
-from fano2.cli import main
+from fano2.cli import build_parser, main
 
 #: SHA-256 of ``enumerate --format json``: "same results" across
 #: refactors means this exact byte stream.
@@ -189,8 +188,11 @@ class TestInspect:
         assert err == f"error: degree not positive: {message}\n"
 
     def test_nonzero_residual_exit_1(self, capsys, fresh_invariants, monkeypatch):
+        # a residual of 8/72 = 1/9 on the D = 72 of 3/1
+        constants = riemann_roch._type_constants
         monkeypatch.setattr(
-            riemann_roch, "polarisation_residual", lambda basket: Fraction(1, 9)
+            riemann_roch, "_type_constants",
+            lambda s: constants(s)[:2] + (constants(s)[2] + 8,),
         )
         code, out, err = run(capsys, "inspect", "--basket", "3/1", "--genus", "0")
         assert code == 1
@@ -366,3 +368,26 @@ class TestUsage:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.endswith("\nfano2: error: --cutoff must be >= 2\n")
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # The parser is built once per process; answers, usage errors and
+        # other commands in between leave it as a fresh process has it.
+        assert build_parser() is build_parser()
+        env = os.environ | {"PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+
+        def fresh(*argv):
+            proc = subprocess.run([sys.executable, "-m", "fano2.cli", *argv],
+                                  capture_output=True, text=True, env=env)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        query = ("inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2",
+                 "--format", "json")
+        usage = ("inspect", "--basket", "3/1", "--genus", "0", "--cutoff", "1")
+        first = run(capsys, *query)
+        with pytest.raises(SystemExit) as exc:
+            main(list(usage))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == fresh(*usage)
+        assert run(capsys, "enumerate", "--stable")[0] == 0
+        again = run(capsys, *query)
+        assert again == first == fresh(*query)

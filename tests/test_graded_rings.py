@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from fano2 import graded_rings
 from fano2.basket import Basket, parse_basket
 from fano2.classify import candidate, enumerate_candidates
 from fano2.graded_rings import (
@@ -14,6 +15,7 @@ from fano2.graded_rings import (
     HYPERSURFACE,
     UNKNOWN,
     CutoffExhaustedError,
+    GradedModel,
     ci_numerator,
     classify_shape,
     corrected_inference,
@@ -23,13 +25,16 @@ from fano2.graded_rings import (
 )
 from fano2.riemann_roch import hilbert_series
 from fano2.series import (
+    DEFAULT_CUTOFF,
     RationalForm,
     degree_from_form,
     expand,
+    gorenstein_completion,
     one_minus_t,
     palindromy_sign,
     poly_degree,
     poly_mul,
+    series_times_weights,
 )
 
 
@@ -132,6 +137,50 @@ class TestCorrectedInference:
         for cutoff in (2, 16, 200):
             cands = enumerate_candidates(cutoff)
             assert [corrected_inference(c) for c in cands] == default, cutoff
+
+
+def full_series_inference(c):
+    """corrected_inference as it was before passes read a prefix: every
+    greedy pass reads the whole series, and the numerator is completed
+    from the whole truncated product."""
+    series = c.series
+    if len(series) <= DEFAULT_CUTOFF:
+        series = hilbert_series(c.basket, c.genus, DEFAULT_CUTOFF)
+    seeded = []
+    for _ in range(4 * len(set(c.basket)) + 2):
+        weights, numerator = infer_generators(series, seeded=seeded)
+        gaps = polarization_gaps(weights, c.basket)
+        if not gaps:
+            break
+        seeded.extend(gaps)
+    half = (sum(weights) - 2) // 2
+    if half >= len(series):
+        series = hilbert_series(c.basket, c.genus, half)
+        numerator = series_times_weights(series, weights)
+    numerator = gorenstein_completion(numerator, weights)
+    return GradedModel(weights, numerator,
+                       classify_shape(weights, numerator), tuple(sorted(seeded)))
+
+
+class TestPrefixPasses:
+    @pytest.mark.parametrize("cutoff", [60, 200])
+    def test_match_full_series_passes(self, cutoff):
+        for c in enumerate_candidates(cutoff):
+            assert corrected_inference(c) == full_series_inference(c), c
+
+    def test_deep_first_relation_doubles_the_prefix(self, monkeypatch):
+        # X38 in P(2,3,5,11,19) meets its first relation at degree 38:
+        # the prefixes to 16 and 32 run out, the one to 60 holds it.
+        lengths = []
+
+        def recording(series, seeded=()):
+            lengths.append(len(series))
+            return infer_generators(series, seeded)
+
+        monkeypatch.setattr(graded_rings, "infer_generators", recording)
+        model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        assert lengths == [17, 33, 61]
+        assert model.weights == (2, 3, 5, 11, 19)
 
 
 class TestFormats:

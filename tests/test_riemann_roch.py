@@ -113,8 +113,12 @@ class TestScaledInvariants:
 
     def test_nonzero_residual_raises(self, fresh_invariants, monkeypatch):
         # An explicit raise, not an assert, so it also holds under -O.
+        # 3/1 has D = 72; adding 8 to 24 r per(s, -1) makes the residual
+        # 8/72 = 1/9.
+        constants = riemann_roch._type_constants
         monkeypatch.setattr(
-            riemann_roch, "polarisation_residual", lambda basket: Fraction(1, 9)
+            riemann_roch, "_type_constants",
+            lambda s: constants(s)[:2] + (constants(s)[2] + 8,),
         )
         with pytest.raises(
             PolarisationResidualError,
@@ -160,12 +164,25 @@ class TestHilbertSeries:
     def test_degree_off_the_lattice_is_not_integral(
         self, fresh_invariants, monkeypatch, base
     ):
-        # A^3 outside base_degree + Z: 1/2 survives the scaling by
-        # D = 24 and is caught by the exact division; 1/7 is not cleared
-        # by D at all.
-        monkeypatch.setattr(riemann_roch, "base_degree", lambda basket: base)
+        # A^3 outside base_degree + Z.  The D = 24 of the empty basket
+        # clears 1/2, so a base degree of 1/2 enters the integer constants
+        # and is caught by the exact division.  The D = 72 of 3/1 does not
+        # clear 1/7: a periodic term that would put its base degree at 1/7
+        # (-1 - 8/9 - 1/7) is caught when the point scales it by 24 r.
+        if (24 * base).denominator == 1:
+            monkeypatch.setattr(
+                riemann_roch, "scaled_invariants",
+                lambda basket: (24, 24, int(24 * base)),
+            )
+            basket = Basket()
+        else:
+            monkeypatch.setattr(
+                riemann_roch, "periodic_term",
+                lambda s, n: -1 - Fraction(8, 9) - base,
+            )
+            basket = parse_basket("3/1")
         with pytest.raises(NonIntegerSeriesError):
-            hilbert_series(Basket(), 0, 10)
+            hilbert_series(basket, 0, 10)
 
     def test_coefficients_are_integral_and_counted(self):
         for text, genus in (("3/1", 5), ("21/10", 0), ("5/2,7/1", -1)):
