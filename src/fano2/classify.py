@@ -51,7 +51,7 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     """One admissible (basket, genus) pair with its derived data.
 
@@ -91,14 +91,13 @@ def candidate(
         raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
     series = hilbert_series(basket, genus, cutoff)
     d, acz12_d, base_d = scaled_invariants(basket)
-    a3 = Fraction(base_d + (genus + 2) * d, d)
-    acz12 = Fraction(acz12_d, d)
+    a3_d = base_d + (genus + 2) * d
     return Candidate(
         basket=basket,
         genus=genus,
-        a3=a3,
-        acz12=acz12,
-        status=kawamata_status(a3, acz12),
+        a3=Fraction(a3_d, d),
+        acz12=Fraction(acz12_d, d),
+        status=kawamata_status(a3_d, acz12_d),
         series=series,
         k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
     )

@@ -9,8 +9,8 @@ with i_n = s.local_index(n) the local index of nA, b = s.b the solution
 of a b = 2 (mod r), and bar the residue in [0, r-1].  The sum over the
 basket enters both the single-value formula :func:`plurigenus` and the
 full series :func:`hilbert_series`; the two are computed along
-deliberately separate code paths (direct evaluation versus power-series
-expansion) so that one can oracle the other.
+deliberately separate code paths (Fraction evaluation term by term
+versus integer tables) so that one can oracle the other.
 
 Global quantities, for a basket B and ample Weil divisor A:
 
@@ -21,6 +21,15 @@ Global quantities, for a basket B and ample Weil divisor A:
     STABLE_DEGREE_CAP (Ac2/12) = 9 (Ac2/12) in the mu-semistable
     (Bogomolov-Kawamata) case; :func:`genus_range` lists the genera
     within the first cap.
+
+Substituting these into chi(nA), with C = C(n+2,3), splits the series
+into integer pieces:
+
+    h^0(nA) = [1 + n - 2C] + N C + sum_{s in B} Q_s(n),
+
+where Q_s is an integer table of one point of type s, cached per (type,
+cutoff) by :func:`_point_series`.  A series is then one integer sum per
+degree, with no per-basket denominator.
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from .series import (
     NonIntegerSeriesError,
     RationalForm,
     Series,
-    _div_one_minus_tw,
     expand,
 )
 
@@ -123,12 +131,15 @@ def base_degree(basket: Basket) -> Fraction:
     )
 
 
-def kawamata_status(a3: Fraction, acz12: Fraction) -> str:
+def kawamata_status(a3: Fraction | int, acz12: Fraction | int) -> str:
     """Classify a degree against the boundedness caps.
 
     ``stable`` when A^3 <= 9 (Ac2/12) (equivalently (-K)^3 <= 3 (-K c2)),
     ``unstable`` up to the unconditional cap (48/5)(Ac2/12), ``rejected``
-    beyond it.
+    beyond it.  The status is homogeneous in the pair: scaling both by
+    the same positive number changes nothing, so the integers
+    (D A^3, D Ac2/12) of :func:`scaled_invariants` classify as the
+    Fractions do.
     """
     if a3 <= STABLE_DEGREE_CAP * acz12:
         return STABLE
@@ -146,38 +157,64 @@ def _scaled(x: Fraction, d: int) -> int:
 
 
 @cache
-def _unit_series(cutoff: int) -> tuple[Series, ...]:
-    """Expansions of 1/(1-t), t/(1-t)^4 and t/(1-t)^2 up to cutoff."""
+def _unit_series(cutoff: int) -> tuple[Series, Series]:
+    """The genus-free polynomial part 1 + n - 2 C(n+2,3), expanded from
+    (1 - 4t + t^2)/(1-t)^4, and C(n+2,3) from t/(1-t)^4, up to cutoff."""
     return (
-        expand(RationalForm((1,), (1,)), cutoff),
+        expand(RationalForm((1, -4, 1), (1, 1, 1, 1)), cutoff),
         expand(RationalForm((0, 1), (1, 1, 1, 1)), cutoff),
-        expand(RationalForm((0, 1), (1, 1)), cutoff),
     )
-
-
-@cache
-def _periodic_series(s: SingularityType, cutoff: int) -> Series:
-    """24 r c_P(t): the finite sum per(s, k) t^k for k = 1..r-1, divided
-    by (1 - t^r) using the series recurrence.  Every per(s, k) has a
-    denominator dividing 24 r, so the scaled series is integral."""
-    c = [0] * (cutoff + 1)
-    for k in range(1, min(s.r - 1, cutoff) + 1):
-        c[k] = _scaled(periodic_term(s, k), 24 * s.r)
-    _div_one_minus_tw(c, s.r)
-    return tuple(c)
 
 
 @cache
 def _type_constants(s: SingularityType) -> tuple[int, int, int]:
     """r^2 - 1, 24 r per(s, 1) and 24 r per(s, -1): the integers one
-    point of type s contributes to :func:`scaled_invariants`, in units
-    of 1/(24 r)."""
+    point of type s contributes to :func:`scaled_invariants` and to its
+    table in :func:`_point_series`, in units of 1/(24 r)."""
     d = 24 * s.r
     return (
         _scaled(s.cost, s.r),
         _scaled(periodic_term(s, 1), d),
         _scaled(periodic_term(s, -1), d),
     )
+
+
+@cache
+def _point_series(s: SingularityType, cutoff: int) -> Series:
+    """Q_s(n) for n = 0..cutoff: the integer share of one point of type s
+    in h^0(nA), with C = C(n+2,3) and the integers of
+    :func:`_type_constants`,
+
+        Q_s(n) = [24 r per(s, n mod r) - 24 r per(s, 1) C
+                  - (r^2 - 1)(n - C)] / (24 r).
+
+    Each 24 r per(s, k) with k <= cutoff must be an integer, and the
+    division by 24 r is exact or raises :class:`NonIntegerSeriesError`
+    naming the type and the degree.  These are the integrality checks of
+    the one-point basket {s}, whose D = 24 lcm(r) is 24 r: there
+
+        D h^0(nA) = D [1 + n - 2C + N C] + 24 r Q_s(n),
+
+    so dividing the D-scaled series by D is exact exactly when Q_s(n) is
+    an integer.  Each of the 58 types forms an admissible one-point
+    basket, so these checks fire exactly where that division would, and
+    the series of any basket is a sum of integer tables.
+    """
+    r = s.r
+    d = 24 * r
+    cost, plus, _ = _type_constants(s)
+    per = [_scaled(periodic_term(s, k), d) for k in range(min(r, cutoff + 1))]
+    out = []
+    for n, c in enumerate(_unit_series(cutoff)[1]):
+        x = per[n % r] - plus * c - cost * (n - c)
+        q, rem = divmod(x, d)
+        if rem:
+            raise NonIntegerSeriesError(
+                f"non-integer coefficient at degree {n} for a point of "
+                f"type {s}: {Fraction(x, d)}"
+            )
+        out.append(q)
+    return tuple(out)
 
 
 @cache
@@ -240,36 +277,34 @@ def hilbert_series(
 ) -> Series:
     """The Hilbert series sum h^0(nA) t^n truncated at cutoff.
 
-    Assembled as 1/(1-t) + A^3 t/(1-t)^4 + (Ac2/12) t/(1-t)^2 + sum c_P(t)
-    with A^3 = base_degree + genus + 2.  Every term is scaled by the D of
-    :func:`scaled_invariants`, and the integer sum is divided by D once.
-    That exact division is the integrality check: a remainder raises
-    :class:`NonIntegerSeriesError`.  Positivity of the coefficients is a
-    consequence checked by the test suite.
+    By Riemann-Roch, h^0(nA) = 1 + A^3 C + (Ac2/12) n + sum per(s, n)
+    with C = C(n+2,3) and A^3 = base_degree + genus + 2.  Substituting
+    the basket's base_degree and Ac2/12 splits it into a genus-free
+    polynomial, a multiple of C and one integer table per point:
+
+        h^0(nA) = [1 + n - 2C] + (genus + 2) C + sum_s Q_s(n),
+
+    with Q_s of :func:`_point_series`, cached per (type, cutoff), so the
+    series is one integer sum per degree.  The constants of
+    :func:`scaled_invariants` are read first, so an overweight basket, a
+    nonzero polarisation residual and A^3 <= 0 raise
+    :class:`BasketBoundError`, :class:`PolarisationResidualError` and
+    :class:`NonpositiveDegreeError`.  The integrality check is the exact
+    division in :func:`_point_series`.  Positivity of the coefficients is
+    a consequence checked by the test suite.
     """
-    d, acz12_d, base_d = scaled_invariants(basket)
+    d, _, base_d = scaled_invariants(basket)
     a3_d = base_d + (genus + 2) * d
     if a3_d <= 0:
         raise NonpositiveDegreeError(
             f"A^3 = {Fraction(a3_d, d)} <= 0 for basket [{basket}] "
             f"at genus {genus}"
         )
-    ones, deg_part, ac_part = _unit_series(cutoff)
-    total = [d * x + a3_d * y + acz12_d * z
-             for x, y, z in zip(ones, deg_part, ac_part)]
-    for s in basket:
-        m = d // (24 * s.r)
-        for k, x in enumerate(_periodic_series(s, cutoff)):
-            total[k] += m * x
-    out = []
-    for k, x in enumerate(total):
-        q, rem = divmod(x, d)
-        if rem:
-            raise NonIntegerSeriesError(
-                f"non-integer coefficient at degree {k}: {Fraction(x, d)}"
-            )
-        out.append(q)
-    return tuple(out)
+    n = genus + 2
+    base, cubes = _unit_series(cutoff)
+    top = [b + n * c for b, c in zip(base, cubes)]
+    points = (_point_series(s, cutoff) for s in basket)
+    return tuple(map(sum, zip(top, *points)))
 
 
 def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:

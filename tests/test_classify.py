@@ -29,12 +29,14 @@ from fano2.classify import (
 from fano2.riemann_roch import (
     REJECTED,
     STABLE,
+    UNSTABLE,
     BasketBoundError,
     NonpositiveDegreeError,
     acz12_from_basket,
     base_degree,
     genus_range,
     kawamata_status,
+    scaled_invariants,
 )
 
 
@@ -57,10 +59,28 @@ class TestCandidateInvariants:
                 assert c.a3 > 9 * c.acz12
 
     def test_status_is_kawamata_status(self, candidates):
+        # The status is homogeneous in (A^3, Ac2/12): the integers over D
+        # that candidate() passes classify as the Fractions do.
         assert len(candidates) == 1492
         for c in candidates:
+            d, acz12_d, base_d = scaled_invariants(c.basket)
+            a3_d = base_d + (c.genus + 2) * d
             assert c.status == kawamata_status(c.a3, c.acz12)
+            assert c.status == kawamata_status(a3_d, acz12_d)
             assert c.stable == (c.status == STABLE)
+        # Exactly at and one step past each cap, over 5 D so that
+        # (48/5) Ac2/12 is an integer too.
+        for text in ("", "3/1", "3/1,5/1,11/3", "21/10"):
+            d, acz12_d, _ = scaled_invariants(parse_basket(text))
+            d, acz12_d = 5 * d, 5 * acz12_d
+            for a3_d, status in (
+                (9 * acz12_d, STABLE),
+                (9 * acz12_d + 1, UNSTABLE),
+                (48 * acz12_d // 5, UNSTABLE),
+                (48 * acz12_d // 5 + 1, REJECTED),
+            ):
+                assert kawamata_status(a3_d, acz12_d) == status
+                assert kawamata_status(Fraction(a3_d, d), Fraction(acz12_d, d)) == status
 
     def test_degree_range_matches_fraction_floors(self, candidates):
         # Per basket, N = genus + 2 runs from the smallest N >= 0 with

@@ -6,7 +6,14 @@ from math import comb, lcm
 import pytest
 
 from fano2 import riemann_roch
-from fano2.basket import Basket, SingularityType, enumerate_baskets, parse_basket
+from fano2.basket import (
+    Basket,
+    SingularityType,
+    enumerate_baskets,
+    parse_basket,
+    singularity_universe,
+)
+from fano2.classify import enumerate_candidates
 from fano2.riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
@@ -16,6 +23,7 @@ from fano2.riemann_roch import (
     UNSTABLE,
     acz12_from_basket,
     base_degree,
+    genus_range,
     hilbert_series,
     kawamata_status,
     periodic_term,
@@ -164,25 +172,46 @@ class TestHilbertSeries:
     def test_degree_off_the_lattice_is_not_integral(
         self, fresh_invariants, monkeypatch, base
     ):
-        # A^3 outside base_degree + Z.  The D = 24 of the empty basket
-        # clears 1/2, so a base degree of 1/2 enters the integer constants
-        # and is caught by the exact division.  The D = 72 of 3/1 does not
-        # clear 1/7: a periodic term that would put its base degree at 1/7
-        # (-1 - 8/9 - 1/7) is caught when the point scales it by 24 r.
-        if (24 * base).denominator == 1:
+        # A^3 outside base_degree + Z for the one point 3/1, whose 24 r is
+        # 72.  72 clears 1/2: lowering 24 r per(s, 1) by 72/2 = 36 moves
+        # the base degree from -5/3 to -7/6, which the integer constants
+        # accept, and the exact division of the point's table catches it
+        # at degree 1.  72 does not clear 1/7: a periodic term that would
+        # put the base degree at 1/7 (-1 - 8/9 - 1/7) is caught when the
+        # point scales it by 24 r.
+        if (72 * base).denominator == 1:
+            constants = riemann_roch._type_constants
+            shift = int(72 * base)
             monkeypatch.setattr(
-                riemann_roch, "scaled_invariants",
-                lambda basket: (24, 24, int(24 * base)),
+                riemann_roch, "_type_constants",
+                lambda s: (constants(s)[0], constants(s)[1] - shift,
+                           constants(s)[2]),
             )
-            basket = Basket()
+            match = (r"^non-integer coefficient at degree 1 "
+                     r"for a point of type 3/1: 1/2$")
         else:
             monkeypatch.setattr(
                 riemann_roch, "periodic_term",
                 lambda s, n: -1 - Fraction(8, 9) - base,
             )
-            basket = parse_basket("3/1")
+            match = None
+        with pytest.raises(NonIntegerSeriesError, match=match):
+            hilbert_series(parse_basket("3/1"), 0, 10)
+
+    def test_periodic_term_off_the_lattice_is_not_integral(
+        self, fresh_invariants, monkeypatch
+    ):
+        # per(3/1, 2) moved by 1/144, which 24 r = 72 does not clear; the
+        # constants read only n = 1 and n = -1, so the point's table is
+        # where it is caught.
+        term = riemann_roch.periodic_term
+        monkeypatch.setattr(
+            riemann_roch, "periodic_term",
+            lambda s, n: term(s, n) + (Fraction(1, 144) if n == 2 else 0),
+        )
+        hilbert_series(parse_basket("3/1"), 0, 1)
         with pytest.raises(NonIntegerSeriesError):
-            hilbert_series(basket, 0, 10)
+            hilbert_series(parse_basket("3/1"), 0, 2)
 
     def test_coefficients_are_integral_and_counted(self):
         for text, genus in (("3/1", 5), ("21/10", 0), ("5/2,7/1", -1)):
@@ -192,6 +221,70 @@ class TestHilbertSeries:
             assert coeffs[0] == 1
             assert coeffs[1] == genus + 2
             assert all(c >= 0 for c in coeffs)
+
+
+def scaled_hilbert_series(basket, genus, cutoff):
+    """hilbert_series as it was before the per-point tables: every term
+    scaled by D = 24 lcm(r), each point's 24 r c_P(t) expanded over
+    (1 - t^r) and weighted by D / (24 r), and the integer sum divided
+    by D once."""
+    d, acz12_d, base_d = scaled_invariants(basket)
+    a3_d = base_d + (genus + 2) * d
+    units = (
+        expand(RationalForm((1,), (1,)), cutoff),
+        expand(RationalForm((0, 1), (1, 1, 1, 1)), cutoff),
+        expand(RationalForm((0, 1), (1, 1)), cutoff),
+    )
+    total = [d * x + a3_d * y + acz12_d * z for x, y, z in zip(*units)]
+    for s in basket:
+        scaled = [periodic_term(s, k) * 24 * s.r for k in range(s.r)]
+        assert all(x.denominator == 1 for x in scaled), s
+        periodic = expand(RationalForm([int(x) for x in scaled], (s.r,)), cutoff)
+        for k, x in enumerate(periodic):
+            total[k] += d // (24 * s.r) * x
+    out = []
+    for k, x in enumerate(total):
+        q, rem = divmod(x, d)
+        if rem:
+            raise NonIntegerSeriesError(f"degree {k}: {Fraction(x, d)}")
+        out.append(q)
+    return tuple(out)
+
+
+class TestPointSeries:
+    def test_every_type_is_a_one_point_basket(self):
+        # the integrality argument of _point_series rests on this
+        types = singularity_universe()
+        assert len(types) == 58
+        baskets = set(enumerate_baskets())
+        assert all(Basket((s,)) in baskets for s in types)
+
+    def test_every_table_is_integral_and_extends(self):
+        for s in singularity_universe():
+            table = riemann_roch._point_series(s, 600)
+            assert len(table) == 601
+            assert all(type(q) is int for q in table), s
+            assert table[:2] == (0, 0), s
+            short = riemann_roch._point_series(s, 60)
+            assert riemann_roch._point_series(s, 200)[:61] == short, s
+            assert table[:201] == riemann_roch._point_series(s, 200), s
+
+    @pytest.mark.parametrize("cutoff", [60, 200])
+    def test_match_scaled_series(self, cutoff):
+        cands = enumerate_candidates(cutoff)
+        assert len(cands) == 1492
+        for c in cands:
+            assert c.series == scaled_hilbert_series(c.basket, c.genus, cutoff), (
+                str(c.basket), c.genus)
+
+    def test_match_scaled_series_past_the_degree_cap(self):
+        # the first genus past the cap and ten more, on every basket
+        for b in enumerate_baskets():
+            genera = genus_range(b)
+            first = max(genera.start, genera.stop)
+            for g in (first, first + 10):
+                assert hilbert_series(b, g) == scaled_hilbert_series(b, g, 60), (
+                    str(b), g)
 
 
 class TestPlurigenus:
