@@ -28,7 +28,6 @@ from .graded_rings import (
     CODIM2_CI,
     CODIM3_PFAFFIAN,
     CODIM_GE4,
-    CutoffExhaustedError,
     GradedModel,
     HYPERSURFACE,
     UNKNOWN,

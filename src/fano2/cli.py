@@ -10,11 +10,10 @@ histogram        per-genus statistics, or codimension estimates next to
                  the bundled reference counts
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
-``--cutoff`` sets how many series coefficients are printed or serialised.
-Graded models (``inspect``, ``histogram --by codim``) read the basket's
-series to degree 60 at least, and as deep as their numerators need,
-whatever the cutoff; a deeper cutoff only lets generator inference look
-further for its first relation, which no enumerated candidate needs.
+``--cutoff`` sets the degree the series are cut at when they are printed,
+serialised or counted as distinct.  Graded models (``inspect``,
+``histogram --by codim``) read the basket's series as deep as they need,
+so they are the same at every cutoff.
 
 The parser is built once per process, on the first :func:`main` call, so
 a long-lived caller pays for it once.
@@ -46,11 +45,7 @@ from .classify import (
     write_csv,
     write_json,
 )
-from .graded_rings import (
-    REFERENCE_CODIM_COUNTS,
-    CutoffExhaustedError,
-    corrected_inference,
-)
+from .graded_rings import REFERENCE_CODIM_COUNTS, corrected_inference
 from .riemann_roch import (
     BasketBoundError,
     NonpositiveDegreeError,
@@ -306,9 +301,6 @@ def main(argv=None) -> int:
         return args.run(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CutoffExhaustedError as exc:
-        print(f"error: {exc}; raise --cutoff", file=sys.stderr)
         return 1
 
 

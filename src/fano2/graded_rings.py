@@ -19,7 +19,10 @@ a lower bound.
 
 Each pass stops at its first relation, so it reads only a prefix of the
 series: from degree FIRST_PREFIX, doubling while the pass runs out of
-series, which reads the same weights as the whole series would.
+series, which reads the same weights as the whole series would.  The
+doubling ends: with no relation the series would be 1/prod(1 - t^w),
+which by Gorenstein symmetry forces sum(w) = 2 with four weights, and
+with five or more outgrows the cubic growth of h^0(nA).
 
 A model is a function of its candidate alone, whatever cutoff the
 candidate was built with, and its numerator is the exact Gorenstein
@@ -56,10 +59,6 @@ CODIM_GE4 = "codim_ge4"
 UNKNOWN = "unknown"
 
 
-class CutoffExhaustedError(ValueError):
-    """The greedy loop reached the end of its series without a relation."""
-
-
 #: Hilbert-series counts per estimated codimension obtained by comparing
 #: candidates of singular rank < 20 against a database of polarised K3
 #: surfaces.  Shipped for side-by-side display only: the estimates beyond
@@ -77,7 +76,10 @@ class GradedModel:
 
     The numerator is the exact polynomial series * prod (1 - t^w).  An
     index-2 numerator is signed-palindromic of top degree sum(weights) - 2,
-    and ``numerator_complete`` checks that degree.  ``seeded`` lists
+    and ``numerator_complete`` checks that degree.  It always holds, since
+    the numerator is read to half that degree and completed by symmetry;
+    the property stays only for the benchmark's count of complete
+    models.  ``seeded`` lists
     weights that were forced in by polarisation rather than read off the
     series; a nonempty seed makes the codimension a lower bound.
     """
@@ -100,17 +102,11 @@ class GradedModel:
         return bool(self.seeded)
 
 
-def infer_generators(
-    series: Series, seeded: Sequence[int] = ()
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One pass of the greedy minimal-generator loop, honouring
-    pre-seeded weights.
-
-    Returns (weights, numerator), the numerator being the truncated
-    product series * prod (1 - t^w), trimmed.  Raises
-    :class:`CutoffExhaustedError` if no relation appears by the end of
-    the series, since generators could still follow.
-    """
+def _greedy(
+    series: Series, seeded: Sequence[int]
+) -> tuple[tuple[int, ...], IntPoly] | None:
+    """The greedy loop on one series: (weights, numerator) at the first
+    relation, or None when the series ends before one."""
     cutoff = len(series) - 1
     if series[0] != 1:
         raise ValueError("a Hilbert series must start with coefficient 1")
@@ -128,7 +124,24 @@ def infer_generators(
             _mul_one_minus_tw(q, d)
             weights.append(d)
         # q[d] is now zero and lower coefficients were never touched
-    raise CutoffExhaustedError(f"no relation up to the cutoff {cutoff}")
+    return None
+
+
+def infer_generators(
+    series: Series, seeded: Sequence[int] = ()
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One pass of the greedy minimal-generator loop, honouring
+    pre-seeded weights.
+
+    Returns (weights, numerator), the numerator being the truncated
+    product series * prod (1 - t^w), trimmed.  Raises ValueError if no
+    relation appears by the end of the series, since generators could
+    still follow.
+    """
+    found = _greedy(series, seeded)
+    if found is None:
+        raise ValueError(f"no relation up to the cutoff {len(series) - 1}")
+    return found
 
 
 def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
@@ -158,60 +171,51 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
 FIRST_PREFIX = 16
 
 
-def _prefix_weights(series: Series, seeded: Sequence[int]) -> tuple[int, ...]:
-    """The weights of :func:`infer_generators` on the whole series, read
-    off the shortest doubling prefix that holds the first relation.
-
-    Coefficient d of series * prod (1 - t^w) depends only on the series
-    to degree d, so a pass that meets its relation by degree h reads the
-    same weights from series[:h + 1] as from the whole series.
-    """
-    h = FIRST_PREFIX
-    while True:
-        try:
-            return infer_generators(series[: h + 1], seeded)[0]
-        except CutoffExhaustedError:
-            if h + 1 >= len(series):
-                raise
-            h = min(2 * h, len(series) - 1)
-
-
 def corrected_inference(c: Candidate) -> GradedModel:
     """Generator inference with the basket's polarisation enforced.
 
-    Runs the greedy loop on the candidate's series, or on the series to
-    the default cutoff when the candidate's is shorter, fills residue
-    gaps by seeding their minimal representatives, and repeats until
-    coverage holds.  Of the 1492 candidates, 118 need no seeding round,
-    1305 need one and 69 need two: a seed can displace a generator read
-    before and so open a new gap.  Seeds are never removed.  Each pass
-    stops at its first relation and reads only a prefix of the series
-    deep enough to hold it, so a longer series changes no model.
+    Runs the greedy loop on the candidate's series, fills residue gaps by
+    seeding their minimal representatives, and repeats until coverage
+    holds.  Of the 1492 candidates, 118 need no seeding round, 1305 need
+    one and 69 need two: a seed can displace a generator read before and
+    so open a new gap.  Seeds are never removed.
 
     Seeding puts a multiple of every index among the weights, so the
     numerator is a polynomial of degree sum(weights) - 2:
     :func:`~fano2.series.numerator_wrt_weights` reads it off the series
     to half that degree and completes it by Gorenstein symmetry.
+
+    Every pass and the numerator read the series through one reader: it
+    slices the series held, the candidate's own at first, and past its
+    end computes it once from the basket, to the default cutoff at least,
+    and keeps it.  A pass's prefix is capped at the end held until a pass
+    has read to it.  Any prefix holding the relation gives the same
+    weights, so no model depends on the candidate's cutoff.
     """
     series = c.series
-    if len(series) <= DEFAULT_CUTOFF:
-        series = hilbert_series(c.basket, c.genus, DEFAULT_CUTOFF)
+
+    def read(h: int) -> Series:
+        nonlocal series
+        if h >= len(series):
+            series = hilbert_series(c.basket, c.genus, max(h, DEFAULT_CUTOFF))
+        return series[: h + 1]
+
     seeded: list[int] = []
     # Seeds are permanent, so each round can only convert residues from
     # organic to seeded coverage; 4 residues per distinct type bounds it.
     max_rounds = 4 * len(set(c.basket)) + 2
     for _ in range(max_rounds):
-        weights = _prefix_weights(series, seeded)
+        h = min(FIRST_PREFIX, len(series) - 1)
+        while (found := _greedy(read(h), seeded)) is None:
+            h = 2 * h if h == len(series) - 1 else min(2 * h, len(series) - 1)
+        weights = found[0]
         gaps = polarization_gaps(weights, c.basket)
         if not gaps:
             break
         seeded.extend(gaps)
     else:
         raise RuntimeError("polarisation seeding failed to stabilise")
-    half = (sum(weights) - 2) // 2
-    if half >= len(series):
-        series = hilbert_series(c.basket, c.genus, half)
-    numerator = numerator_wrt_weights(series, weights)
+    numerator = numerator_wrt_weights(read((sum(weights) - 2) // 2), weights)
     return GradedModel(
         weights=weights,
         numerator=numerator,

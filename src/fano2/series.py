@@ -27,11 +27,10 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, Sequence
 
-#: Default truncation degree for series work, and the shortest prefix that
-#: generator inference reads (each enumerated candidate meets its first
-#: relation by degree 38).  A graded-model numerator of degree
-#: sum(weights) - 2 needs the series to half that degree; callers can
-#: always pass their own.
+#: Default truncation degree for series work: the cutoff that is printed
+#: unless another is asked for, and the degree every reference table row
+#: is cut at.  Graded models read the series as deep as they need,
+#: whatever the cutoff.
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]

@@ -211,17 +211,23 @@ class TestInspect:
         assert len(err.splitlines()) == 1
 
     def test_small_cutoff_gives_the_default_model(self, capsys):
-        code, out, err = run(
-            capsys, "inspect", "--basket", "9/1", "--genus", "1", "--cutoff", "3"
-        )
-        assert code == 0
-        assert err == ""
-        _, default, _ = run(capsys, "inspect", "--basket", "9/1", "--genus", "1")
-        # only the series line, cut at degree 3, differs
-        assert [l for l in out.splitlines() if not l.startswith("series:")] == [
-            l for l in default.splitlines() if not l.startswith("series:")
+        cases = [
+            ("9/1", "1", "3", "1, 3, 8, 17"),
+            # the deepest numerator, of Gorenstein degree 177, read from a
+            # series of three terms
+            ("3/1,5/1,7/2,9/1", "-2", "2", "1, 0, 1"),
         ]
-        assert "series:      1, 3, 8, 17, ...\n" in out
+        for basket, genus, cutoff, series in cases:
+            argv = ("inspect", "--basket", basket, "--genus", genus)
+            code, out, err = run(capsys, *argv, "--cutoff", cutoff)
+            assert code == 0
+            assert err == ""
+            _, default, _ = run(capsys, *argv)
+            # only the series line, cut at the cutoff, differs
+            assert [l for l in out.splitlines() if not l.startswith("series:")] == [
+                l for l in default.splitlines() if not l.startswith("series:")
+            ]
+            assert f"series:      {series}, ...\n" in out
 
     def test_cutoff_does_not_reach_the_model(self, capsys):
         # at cutoff 16 the greedy used to run out of series and report

@@ -14,7 +14,6 @@ from fano2.graded_rings import (
     CODIM_GE4,
     HYPERSURFACE,
     UNKNOWN,
-    CutoffExhaustedError,
     GradedModel,
     ci_numerator,
     classify_shape,
@@ -76,12 +75,12 @@ class TestInferGenerators:
         # X38 in P(2,3,5,11,19): its relation lies in degree 38, and
         # generators in degree 19 and beyond are still possible at 16
         series = hilbert_series(parse_basket("3/1,5/1,11/3"), -2, 16)
-        with pytest.raises(CutoffExhaustedError):
+        with pytest.raises(ValueError, match="no relation"):
             infer_generators(series)
 
     def test_generator_at_the_cutoff_raises(self):
         series = hilbert_series(parse_basket("3/1,5/1,11/3"), -2, 19)
-        with pytest.raises(CutoffExhaustedError):
+        with pytest.raises(ValueError, match="no relation"):
             infer_generators(series)
 
 
@@ -172,15 +171,42 @@ class TestPrefixPasses:
         # X38 in P(2,3,5,11,19) meets its first relation at degree 38:
         # the prefixes to 16 and 32 run out, the one to 60 holds it.
         lengths = []
+        greedy = graded_rings._greedy
 
-        def recording(series, seeded=()):
+        def recording(series, seeded):
             lengths.append(len(series))
-            return infer_generators(series, seeded)
+            return greedy(series, seeded)
 
-        monkeypatch.setattr(graded_rings, "infer_generators", recording)
+        monkeypatch.setattr(graded_rings, "_greedy", recording)
         model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert lengths == [17, 33, 61]
         assert model.weights == (2, 3, 5, 11, 19)
+
+    @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
+    def test_series_is_read_again_only_past_its_end(self, cutoff, monkeypatch):
+        # At the default cutoff only the 13 numerators whose half
+        # Gorenstein degree lies past 60 read the series again, all of
+        # K3-obstructed candidates, so `histogram --by codim` reads none;
+        # a shorter series is read again at most once per candidate, plus
+        # once for each of those 13 numerators.
+        reads = []
+
+        def recording(basket, genus, cutoff):
+            reads.append((basket, genus))
+            return hilbert_series(basket, genus, cutoff)
+
+        cands = enumerate_candidates(cutoff)
+        monkeypatch.setattr(graded_rings, "hilbert_series", recording)
+        for c in cands:
+            corrected_inference(c)
+        obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
+        if cutoff == 60:
+            assert len(reads) == 13
+            assert set(reads) <= obstructed
+        elif cutoff == 200:
+            assert reads == []
+        else:
+            assert len(reads) <= 1492 + 13
 
 
 class TestFormats:
