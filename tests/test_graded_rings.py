@@ -99,6 +99,29 @@ class TestPolarizationGaps:
     def test_zero_residue_filled_by_r_itself(self):
         assert polarization_gaps((1, 2, 8), parse_basket("9/1")) == [9]
 
+    def test_premises_of_arithmetic_seeding_hold_in_every_round(
+        self, candidates
+    ):
+        # corrected_inference seeds without running the greedy loop again,
+        # on two premises of the gaps: none sits in the degree of a weight,
+        # and the weights with the gaps need no more.  Every round of the
+        # loop that reruns each pass from the series must meet both.
+        rounds = Counter()
+        for c in candidates:
+            seeded = []
+            for n in range(4 * len(set(c.basket)) + 2):
+                weights, _ = infer_generators(c.series, seeded)
+                gaps = polarization_gaps(weights, c.basket)
+                if not gaps:
+                    break
+                assert not set(gaps) & set(weights), c
+                assert polarization_gaps(weights + tuple(gaps), c.basket) == []
+                seeded.extend(gaps)
+            rounds[n] += 1
+        # seeding rounds per model; a seed can displace a generator read
+        # before and so open a new gap
+        assert rounds == {0: 118, 1: 1305, 2: 69}
+
 
 class TestCorrectedInference:
     def test_index11_case_gets_codim4_model(self):
@@ -162,25 +185,60 @@ def full_series_inference(c):
 
 
 class TestPrefixPasses:
-    @pytest.mark.parametrize("cutoff", [60, 200])
+    @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
     def test_match_full_series_passes(self, cutoff):
         for c in enumerate_candidates(cutoff):
             assert corrected_inference(c) == full_series_inference(c), c
 
     def test_deep_first_relation_doubles_the_prefix(self, monkeypatch):
         # X38 in P(2,3,5,11,19) meets its first relation at degree 38:
-        # the prefixes to 16 and 32 run out, the one to 60 holds it.
+        # the prefixes to 8, 16 and 32 run out, the one to 60 holds it.
         lengths = []
         greedy = graded_rings._greedy
 
-        def recording(series, seeded):
-            lengths.append(len(series))
-            return greedy(series, seeded)
+        def recording(prefixes, seeded):
+            def reader():
+                for series in prefixes:
+                    lengths.append(len(series))
+                    yield series
+            return greedy(reader(), seeded)
 
         monkeypatch.setattr(graded_rings, "_greedy", recording)
         model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
-        assert lengths == [17, 33, 61]
+        assert lengths == [9, 17, 33, 61]
         assert model.weights == (2, 3, 5, 11, 19)
+
+    def test_longer_prefix_extends_the_product(self, monkeypatch):
+        # each longer prefix is multiplied by the weights already read,
+        # once, and the pass goes on from where the shorter one ran out
+        products = []
+
+        def recording(series, weights):
+            products.append((len(series), tuple(weights)))
+            return series_times_weights(series, weights)
+
+        monkeypatch.setattr(graded_rings, "series_times_weights", recording)
+        corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        assert products == [
+            (9, ()), (17, (2, 3, 5)), (33, (2, 3, 5, 11)),
+            (61, (2, 3, 5, 11, 19)),
+        ]
+
+    @pytest.mark.parametrize("cutoff", [2, 60, 200])
+    def test_one_greedy_pass_per_model(self, cutoff, monkeypatch):
+        # seeding rounds are arithmetic on the one unseeded pass
+        passes = []
+        greedy = graded_rings._greedy
+
+        def recording(prefixes, seeded):
+            passes.append(tuple(seeded))
+            return greedy(prefixes, seeded)
+
+        cands = enumerate_candidates(cutoff)
+        monkeypatch.setattr(graded_rings, "_greedy", recording)
+        for c in cands:
+            corrected_inference(c)
+        assert passes == [()] * 1492
 
     @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
     def test_series_is_read_again_only_past_its_end(self, cutoff, monkeypatch):
