@@ -56,16 +56,28 @@ class Candidate:
     """One admissible (basket, genus) pair with its derived data.
 
     ``status`` is the :func:`~fano2.riemann_roch.kawamata_status` of the
-    degree: stable, unstable, or rejected past the degree cap.
+    degree: stable, unstable, or rejected past the degree cap.  A^3 and
+    Ac2/12 are kept as integers over the basket's common denominator
+    ``scale`` (see :func:`~fano2.riemann_roch.scaled_invariants`);
+    ``a3`` and ``acz12`` build their Fractions on read, for output.
     """
 
     basket: Basket
     genus: int
-    a3: Fraction
-    acz12: Fraction
+    scale: int
+    a3_scaled: int
+    acz12_scaled: int
     status: str
     series: Series
     k3_obstructed: bool
+
+    @property
+    def a3(self) -> Fraction:
+        return Fraction(self.a3_scaled, self.scale)
+
+    @property
+    def acz12(self) -> Fraction:
+        return Fraction(self.acz12_scaled, self.scale)
 
     @property
     def stable(self) -> bool:
@@ -95,8 +107,9 @@ def candidate(
     return Candidate(
         basket=basket,
         genus=genus,
-        a3=Fraction(a3_d, d),
-        acz12=Fraction(acz12_d, d),
+        scale=d,
+        a3_scaled=a3_d,
+        acz12_scaled=acz12_d,
         status=kawamata_status(a3_d, acz12_d),
         series=series,
         k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,

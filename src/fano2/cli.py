@@ -13,7 +13,9 @@ k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 ``--cutoff`` sets the degree the series are cut at when they are printed,
 serialised or counted as distinct.  Graded models (``inspect``,
 ``histogram --by codim``) read the basket's series as deep as they need,
-so they are the same at every cutoff.
+so they are the same at every cutoff.  A model builds its numerator and
+shape on first read: ``inspect`` reads both, while ``histogram --by
+codim`` reads only codimensions and builds neither.
 
 The parser is built once per process, on the first :func:`main` call, so
 a long-lived caller pays for it once.

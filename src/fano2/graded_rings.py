@@ -28,14 +28,18 @@ outgrows the cubic growth of h^0(nA).
 A model is a function of its candidate alone, whatever cutoff the
 candidate was built with, and its numerator is the exact Gorenstein
 polynomial of degree sum(weights) - 2 (Altinok-Brown-Reid), read by
-:func:`~fano2.series.numerator_wrt_weights`.
+:func:`~fano2.series.numerator_wrt_weights`.  The numerator and the shape
+are built on first read and then kept, so a caller that reads only
+weights and codimensions, as ``histogram --by codim`` and
+``verify-tables`` do, builds neither.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .basket import Basket
 from .classify import Candidate
@@ -83,12 +87,28 @@ class GradedModel:
     ``seeded`` lists weights that were forced in by polarisation rather
     than read off the series; a nonempty seed makes the codimension a
     lower bound.
+
+    The numerator and the shape are built on first read, through ``read``,
+    the series reader the greedy pass used, and then kept, so ``histogram
+    --by codim``, which reads only codimensions, builds neither.  A model
+    compares by (basket, genus, weights, seeded): the numerator and shape
+    are functions of the first three, so equal models have equal ones.
     """
 
+    basket: Basket
+    genus: int
     weights: tuple[int, ...]
-    numerator: tuple[int, ...]
-    shape: str
-    seeded: tuple[int, ...] = ()
+    seeded: tuple[int, ...]
+    read: Callable[[int], Series] = field(compare=False, repr=False)
+
+    @cached_property
+    def numerator(self) -> IntPoly:
+        return numerator_wrt_weights(
+            self.read((sum(self.weights) - 2) // 2), self.weights)
+
+    @cached_property
+    def shape(self) -> str:
+        return classify_shape(self.weights, self.numerator)
 
     @property
     def codim(self) -> int:
@@ -156,14 +176,24 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
     """
     have = list(weights)
     gaps: list[int] = []
-    for s in sorted(set(basket)):
-        required = {0, s.a % s.r, (s.r - s.a) % s.r, 2 % s.r}
-        present = {w % s.r for w in have}
-        for residue in sorted(required - present):
-            degree = residue if residue > 0 else s.r
-            gaps.append(degree)
-            have.append(degree)
+    for s in basket:  # a repeated point finds its residues present
+        r = s.r
+        present = {w % r for w in have}
+        for residue in _required_residues(r, s.a):
+            if residue not in present:
+                degree = residue if residue > 0 else r
+                gaps.append(degree)
+                have.append(degree)
     return gaps
+
+
+@cache
+def _required_residues(r: int, a: int) -> tuple[int, ...]:
+    """The residues {0, a, r-a, 2} mod r of the point 1/r(a, -a, 2), sorted.
+
+    Cached per type, not per basket: a long-lived caller meets hundreds of
+    baskets, and a key of two integers hashes without Python calls."""
+    return tuple(sorted({0, a % r, (r - a) % r, 2 % r}))
 
 
 #: Degree of the first prefix a greedy pass reads; it doubles while the
@@ -182,11 +212,12 @@ def corrected_inference(c: Candidate) -> GradedModel:
     g0 < stop the organic weights from g0 up go and ``stop`` becomes g0,
     and otherwise the gaps close every residue and the rounds end.
 
-    The pass and the numerator read the series through one reader: it
-    slices the series held, the candidate's own at first, and past its
-    end computes it once from the basket, to the default cutoff at least,
-    and keeps it.  The pass's prefix doubles from FIRST_PREFIX, capped at
-    the end held until the pass has read to it.
+    The pass and the model's numerator, built on its first read, read the
+    series through one reader: it slices the series held, the candidate's
+    own at first, and past its end computes it once from the basket, to
+    the default cutoff at least, and keeps it.  The pass's prefix doubles
+    from FIRST_PREFIX, capped at the end held until the pass has read to
+    it.
     """
     series = c.series
 
@@ -219,9 +250,7 @@ def corrected_inference(c: Candidate) -> GradedModel:
     else:
         raise RuntimeError("polarisation seeding failed to stabilise")
     weights = tuple(sorted(organic + seeded))
-    numerator = numerator_wrt_weights(read((sum(weights) - 2) // 2), weights)
-    shape = classify_shape(weights, numerator)
-    return GradedModel(weights, numerator, shape, tuple(sorted(seeded)))
+    return GradedModel(c.basket, c.genus, weights, tuple(sorted(seeded)), read)
 
 
 def ci_numerator(degrees: Sequence[int]) -> IntPoly:

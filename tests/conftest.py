@@ -1,6 +1,13 @@
+from collections import Counter
+
 import pytest
 
-from fano2 import enumerate_candidates, riemann_roch, scaled_invariants
+from fano2 import (
+    enumerate_candidates,
+    graded_rings,
+    riemann_roch,
+    scaled_invariants,
+)
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +32,15 @@ def fresh_invariants():
     yield
     for cached in caches:
         cached.cache_clear()
+
+
+@pytest.fixture
+def model_builds(monkeypatch):
+    """Calls of the numerator and shape builders of graded models."""
+    calls = Counter()
+    for name in ("numerator_wrt_weights", "classify_shape"):
+        def counted(*args, _name=name, _fn=getattr(graded_rings, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(graded_rings, name, counted)
+    return calls

@@ -339,6 +339,21 @@ class TestHistogram:
         assert ["-2", "337", "6", "1/165", "11/15"] in rows
 
 
+class TestLazyModels:
+    @pytest.mark.parametrize(
+        "argv", [["histogram", "--by", "codim"], ["verify-tables"]])
+    def test_codimension_readers_build_no_numerator(
+        self, capsys, model_builds, argv
+    ):
+        run(capsys, *argv)
+        assert model_builds == {}
+
+    def test_inspect_builds_each_once(self, capsys, model_builds):
+        code, _, _ = run(capsys, "inspect", "--basket", "3/1", "--genus", "2")
+        assert code == 0
+        assert model_builds == {"numerator_wrt_weights": 1, "classify_shape": 1}
+
+
 class TestK3Obstructions:
     def test_footer_counts(self, capsys):
         code, out, _ = run(capsys, "k3-obstructions")

@@ -14,7 +14,6 @@ from fano2.graded_rings import (
     CODIM_GE4,
     HYPERSURFACE,
     UNKNOWN,
-    GradedModel,
     ci_numerator,
     classify_shape,
     corrected_inference,
@@ -155,16 +154,20 @@ class TestCorrectedInference:
     def test_models_do_not_depend_on_the_cutoff(self, models):
         # at cutoff 2 the greedy used to raise, and at 16 it silently
         # returned X38 as a seeded codim-3 model
-        default = [m for _, m in models]
+        def read(m):
+            return m.weights, m.numerator, m.shape, m.seeded
+
+        default = [read(m) for _, m in models]
         for cutoff in (2, 16, 200):
             cands = enumerate_candidates(cutoff)
-            assert [corrected_inference(c) for c in cands] == default, cutoff
+            assert [read(corrected_inference(c)) for c in cands] == default, cutoff
 
 
 def full_series_inference(c):
-    """corrected_inference as it was before passes read a prefix: every
-    greedy pass reads the whole series, and the numerator is completed
-    from the whole truncated product."""
+    """corrected_inference as it was before passes read a prefix, as
+    (weights, numerator, shape, seeded): every greedy pass reads the whole
+    series, and the numerator is completed from the whole truncated
+    product."""
     series = c.series
     if len(series) <= DEFAULT_CUTOFF:
         series = hilbert_series(c.basket, c.genus, DEFAULT_CUTOFF)
@@ -180,15 +183,17 @@ def full_series_inference(c):
         series = hilbert_series(c.basket, c.genus, half)
         numerator = series_times_weights(series, weights)
     numerator = gorenstein_completion(numerator, weights)
-    return GradedModel(weights, numerator,
-                       classify_shape(weights, numerator), tuple(sorted(seeded)))
+    return (weights, numerator, classify_shape(weights, numerator),
+            tuple(sorted(seeded)))
 
 
 class TestPrefixPasses:
     @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
     def test_match_full_series_passes(self, cutoff):
         for c in enumerate_candidates(cutoff):
-            assert corrected_inference(c) == full_series_inference(c), c
+            m = corrected_inference(c)
+            assert (m.weights, m.numerator, m.shape, m.seeded) == (
+                full_series_inference(c)), c
 
     def test_deep_first_relation_doubles_the_prefix(self, monkeypatch):
         # X38 in P(2,3,5,11,19) meets its first relation at degree 38:
@@ -256,7 +261,7 @@ class TestPrefixPasses:
         cands = enumerate_candidates(cutoff)
         monkeypatch.setattr(graded_rings, "hilbert_series", recording)
         for c in cands:
-            corrected_inference(c)
+            corrected_inference(c).numerator
         obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
         if cutoff == 60:
             assert len(reads) == 13
@@ -265,6 +270,34 @@ class TestPrefixPasses:
             assert reads == []
         else:
             assert len(reads) <= 1492 + 13
+
+
+class TestLazyModel:
+    def test_numerator_and_shape_are_built_once(self, model_builds):
+        m = corrected_inference(candidate(parse_basket("3/1"), 2))
+        assert model_builds == {}
+        for _ in range(2):
+            assert m.numerator == (1, 0, 0, -2, -3, 3, 2, 0, 0, -1)
+            assert m.numerator_complete
+            assert m.shape == CODIM3_PFAFFIAN
+        assert model_builds == {
+            "numerator_wrt_weights": 1, "classify_shape": 1}
+
+    def test_equal_models_have_equal_numerators(self, models):
+        # equality is on (basket, genus, weights, seeded), which fixes the
+        # numerator; equal weights alone do not
+        by_weights = {}
+        for c, m in models:
+            by_weights.setdefault((m.weights, m.seeded), []).append(m)
+        shared = [ms for ms in by_weights.values() if len(ms) > 1]
+        assert any(len({m.numerator for m in ms}) > 1 for ms in shared)
+        for ms in shared:
+            for a in ms:
+                for b in ms:
+                    assert (a == b) == (a is b)
+        c = models[0][0]
+        assert corrected_inference(c) == models[0][1]
+        assert hash(corrected_inference(c)) == hash(models[0][1])
 
 
 class TestFormats:
