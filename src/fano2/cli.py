@@ -11,11 +11,16 @@ histogram        per-genus statistics, or codimension estimates next to
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
 ``--cutoff`` sets the degree the series are cut at when they are printed,
-serialised or counted as distinct.  Graded models (``inspect``,
-``histogram --by codim``) read the basket's series as deep as they need,
-so they are the same at every cutoff.  A model builds its numerator and
-shape on first read: ``inspect`` reads both, while ``histogram --by
-codim`` reads only codimensions and builds neither.
+serialised or counted as distinct.  A candidate computes its series on
+first read, as deep as its reader asks, rounded up to a power of two
+within the cutoff: the ``enumerate`` text lines read
+three coefficients, ``k3-obstructions`` text lines none, and records the
+series to the cutoff.  Graded models (``inspect``, ``histogram --by
+codim``) read the basket's series as deep as they need, so they are the
+same at every cutoff.  A model builds its numerator and shape on first
+read: ``inspect`` reads both, while ``histogram --by codim`` reads only
+codimensions, so each of its greedy passes computes the series only to
+the prefix that holds its first relation.
 
 The parser is built once per process, on the first :func:`main` call, so
 a long-lived caller pays for it once.
@@ -135,10 +140,11 @@ def _write_candidates(
 
 def _candidate_line(c: Candidate) -> str:
     basket = str(c.basket) or "-"
+    series = c.read(2)
     return (
         f"{basket:24s} g={c.genus:<3d} A3={c.a3!s:8s} "
         f"Ac2/12={c.acz12!s:8s} {'stable' if c.stable else 'unstable':8s} "
-        f"h0(A)={c.series[1]:<3d} h0(2A)={c.series[2]:<4d} "
+        f"h0(A)={series[1]:<3d} h0(2A)={series[2]:<4d} "
         f"K3-obstructed={'yes' if c.k3_obstructed else 'no'}"
     )
 
@@ -189,9 +195,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"error: degree not positive: {exc}", file=sys.stderr)
         return 1
 
+    # The record reads the series to the cutoff; the model reads past it
+    # only when its first relation or its numerator lies deeper.
+    record = candidate_record(c)
     model = corrected_inference(c)
     if args.format == "json":
-        payload = candidate_record(c) | {
+        payload = record | {
             "status": c.status,
             "weights": list(model.weights),
             "numerator": list(model.numerator),
@@ -209,7 +218,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"status:      {c.status}",
         f"singular rank: {basket.singular_rank}"
         + ("  (no K3 elephant)" if c.k3_obstructed else ""),
-        f"series:      {', '.join(str(x) for x in c.series[:13])}, ...",
+        f"series:      {', '.join(str(x) for x in record['series'][:13])}, ...",
         f"weights:     {','.join(str(w) for w in model.weights)}"
         + (f"  (seeded by polarisation: {model.seeded})" if model.seeded else ""),
         f"numerator:   {poly_str(model.numerator)}",

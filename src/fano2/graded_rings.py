@@ -23,7 +23,11 @@ series: from degree FIRST_PREFIX, doubling while it runs out, with its
 product extended to each longer prefix.  The doubling ends: with no
 relation the series would be 1/prod(1 - t^w), which by Gorenstein
 symmetry forces sum(w) = 2 with four weights, and with five or more
-outgrows the cubic growth of h^0(nA).
+outgrows the cubic growth of h^0(nA).  The pass reads through
+:meth:`~fano2.classify.Candidate.read`, so a candidate whose series
+nobody has read computes only the prefixes the pass asks for: for
+``histogram --by codim``, 13,404 coefficients over its 1319 models in
+place of 61 for each of the 1492 candidates.
 
 A model is a function of its candidate alone, whatever cutoff the
 candidate was built with, and its numerator is the exact Gorenstein
@@ -43,7 +47,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .basket import Basket
 from .classify import Candidate
-from .riemann_roch import hilbert_series
 from .series import (
     DEFAULT_CUTOFF,
     IntPoly,
@@ -89,8 +92,9 @@ class GradedModel:
     lower bound.
 
     The numerator and the shape are built on first read, through ``read``,
-    the series reader the greedy pass used, and then kept, so ``histogram
-    --by codim``, which reads only codimensions, builds neither.  A model
+    the candidate's :meth:`~fano2.classify.Candidate.read` that the greedy
+    pass used, and then kept, so ``histogram --by codim``, which reads
+    only codimensions, builds neither.  A model
     compares by (basket, genus, weights, seeded): the numerator and shape
     are functions of the first three, so equal models have equal ones.
     """
@@ -203,6 +207,21 @@ def _required_residues(r: int, a: int) -> tuple[int, ...]:
 FIRST_PREFIX = 8
 
 
+def _prefixes(c: Candidate) -> Iterator[Series]:
+    """Prefixes of the candidate's series, doubling from FIRST_PREFIX.
+
+    A doubling that would pass the cutoff, or DEFAULT_CUTOFF when that is
+    deeper, stops there first: a candidate read to its cutoff, as
+    ``inspect`` reads it, and one computed past a shallower cutoff, which
+    :meth:`~fano2.classify.Candidate.read` computes to DEFAULT_CUTOFF, are
+    computed again only when their first relation lies deeper."""
+    cap = max(c.cutoff, DEFAULT_CUTOFF)
+    h = FIRST_PREFIX
+    while True:
+        yield c.read(h)
+        h = cap if h < cap < 2 * h else 2 * h
+
+
 def corrected_inference(c: Candidate) -> GradedModel:
     """Generator inference with the basket's polarisation enforced.
 
@@ -213,27 +232,15 @@ def corrected_inference(c: Candidate) -> GradedModel:
     and otherwise the gaps close every residue and the rounds end.
 
     The pass and the model's numerator, built on its first read, read the
-    series through one reader: it slices the series held, the candidate's
-    own at first, and past its end computes it once from the basket, to
-    the default cutoff at least, and keeps it.  The pass's prefix doubles
-    from FIRST_PREFIX, capped at the end held until the pass has read to
-    it.
+    series through :meth:`~fano2.classify.Candidate.read`, which computes
+    it only past the deepest degree computed so far.  The pass's prefix
+    doubles from FIRST_PREFIX and stops first at the cutoff (see
+    :func:`_prefixes`), so on a candidate nobody has read, built with the
+    default cutoff, it computes the series to 8, 16, 32 or 60, the first
+    of them at or past its first relation, and the numerator, to half the
+    Gorenstein degree, reads that series or one to the next of them.
     """
-    series = c.series
-
-    def read(h: int) -> Series:
-        nonlocal series
-        if h >= len(series):
-            series = hilbert_series(c.basket, c.genus, max(h, DEFAULT_CUTOFF))
-        return series[: h + 1]
-
-    def prefixes() -> Iterator[Series]:
-        h = min(FIRST_PREFIX, len(series) - 1)
-        while True:
-            yield read(h)
-            h = 2 * h if h == len(series) - 1 else min(2 * h, len(series) - 1)
-
-    found, pass_numerator = _greedy(prefixes(), ())  # prefixes never end
+    found, pass_numerator = _greedy(_prefixes(c), ())  # they never end
     organic = list(found)
     stop = next(d for d, k in enumerate(pass_numerator) if k < 0)
     seeded: list[int] = []
@@ -250,7 +257,8 @@ def corrected_inference(c: Candidate) -> GradedModel:
     else:
         raise RuntimeError("polarisation seeding failed to stabilise")
     weights = tuple(sorted(organic + seeded))
-    return GradedModel(c.basket, c.genus, weights, tuple(sorted(seeded)), read)
+    return GradedModel(
+        c.basket, c.genus, weights, tuple(sorted(seeded)), c.read)
 
 
 def ci_numerator(degrees: Sequence[int]) -> IntPoly:

@@ -272,6 +272,23 @@ def genus_range(basket: Basket) -> range:
     return range(n_min - 2, n_max - 1)
 
 
+def scaled_degree(basket: Basket, genus: int) -> tuple[int, int, int]:
+    """(D, D Ac2/12, D A^3) with A^3 = base_degree + genus + 2, over the D
+    of :func:`scaled_invariants`, which raises for an inadmissible basket.
+
+    Raises :class:`NonpositiveDegreeError` when A^3 <= 0: the one check of
+    the degree, for a candidate and for its series alike.
+    """
+    d, acz12_d, base_d = scaled_invariants(basket)
+    a3_d = base_d + (genus + 2) * d
+    if a3_d <= 0:
+        raise NonpositiveDegreeError(
+            f"A^3 = {Fraction(a3_d, d)} <= 0 for basket [{basket}] "
+            f"at genus {genus}"
+        )
+    return d, acz12_d, a3_d
+
+
 def hilbert_series(
     basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
 ) -> Series:
@@ -285,21 +302,15 @@ def hilbert_series(
         h^0(nA) = [1 + n - 2C] + (genus + 2) C + sum_s Q_s(n),
 
     with Q_s of :func:`_point_series`, cached per (type, cutoff), so the
-    series is one integer sum per degree.  The constants of
-    :func:`scaled_invariants` are read first, so an overweight basket, a
-    nonzero polarisation residual and A^3 <= 0 raise
-    :class:`BasketBoundError`, :class:`PolarisationResidualError` and
-    :class:`NonpositiveDegreeError`.  The integrality check is the exact
-    division in :func:`_point_series`.  Positivity of the coefficients is
-    a consequence checked by the test suite.
+    series is one integer sum per degree.  :func:`scaled_degree` is read
+    first, so an overweight basket, a nonzero polarisation residual and
+    A^3 <= 0 raise :class:`BasketBoundError`,
+    :class:`PolarisationResidualError` and :class:`NonpositiveDegreeError`.
+    The integrality check is the exact division in :func:`_point_series`.
+    Positivity of the coefficients is a consequence checked by the test
+    suite.
     """
-    d, _, base_d = scaled_invariants(basket)
-    a3_d = base_d + (genus + 2) * d
-    if a3_d <= 0:
-        raise NonpositiveDegreeError(
-            f"A^3 = {Fraction(a3_d, d)} <= 0 for basket [{basket}] "
-            f"at genus {genus}"
-        )
+    scaled_degree(basket, genus)
     n = genus + 2
     base, cubes = _unit_series(cutoff)
     top = [b + n * c for b, c in zip(base, cubes)]

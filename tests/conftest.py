@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from fano2 import (
+    classify,
     enumerate_candidates,
     graded_rings,
     riemann_roch,
@@ -44,3 +45,20 @@ def model_builds(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(graded_rings, name, counted)
     return calls
+
+
+@pytest.fixture
+def series_reads(monkeypatch):
+    """The series candidates compute, as (basket, genus, cutoff) per call
+    of hilbert_series.  The enumeration cache is emptied around the test,
+    so every candidate it enumerates starts unread."""
+    reads = []
+
+    def counted(basket, genus, cutoff, _fn=classify.hilbert_series):
+        reads.append((basket, genus, cutoff))
+        return _fn(basket, genus, cutoff)
+
+    classify._enumerate.cache_clear()
+    monkeypatch.setattr(classify, "hilbert_series", counted)
+    yield reads
+    classify._enumerate.cache_clear()

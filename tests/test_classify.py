@@ -2,6 +2,7 @@
 
 import csv
 import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from io import StringIO
 from math import floor
@@ -35,6 +36,7 @@ from fano2.riemann_roch import (
     acz12_from_basket,
     base_degree,
     genus_range,
+    hilbert_series,
     kawamata_status,
     scaled_invariants,
 )
@@ -155,6 +157,53 @@ class TestCandidateInvariants:
         assert K3_RANK_BOUND == 20
         for c in candidates:
             assert c.k3_obstructed == (c.basket.singular_rank >= K3_RANK_BOUND)
+
+
+class TestSeriesOnRead:
+    @pytest.mark.parametrize(
+        "order", [(2, 8, 60, 200), (200, 60, 8, 2), (60, 2, 200, 8)])
+    def test_read_is_the_series_to_that_degree(self, candidates, order):
+        # whatever was read first, every read is the series to its degree
+        for c in candidates:
+            fresh = candidate(c.basket, c.genus, c.cutoff)
+            for h in order:
+                assert fresh.read(h) == hilbert_series(c.basket, c.genus, h)
+            assert fresh.series == c.series
+            assert fresh == c and hash(fresh) == hash(c)
+
+    def test_candidate_builds_no_series(self, series_reads):
+        c = candidate(parse_basket("3/1"), 2)
+        assert series_reads == []
+        assert anticanonical_sections(c) == c.read(2)[2] == 12
+        assert [h for *_, h in series_reads] == [2]
+        assert c.series[:3] == (1, 4, 12)
+        assert c.read(40) == hilbert_series(c.basket, 2, 40)
+        assert [h for *_, h in series_reads] == [2, 60]
+
+    def test_reads_compute_to_few_depths(self, series_reads):
+        # within the cutoff a power of two, or the cutoff; past it the
+        # default cutoff at least, so a shallow candidate is computed
+        # again once for its model
+        c = candidate(parse_basket("3/1"), 2)
+        for h in (3, 19, 40, 61, 100):
+            c.read(h)
+        assert [h for *_, h in series_reads] == [4, 32, 60, 61, 100]
+        del series_reads[:]
+        c = candidate(parse_basket("3/1"), 2, cutoff=2)
+        assert c.read(8) == hilbert_series(c.basket, 2, 8)
+        assert [h for *_, h in series_reads] == [60]
+
+    def test_record_reads_the_series_once(self, series_reads):
+        c = candidate(parse_basket("3/1"), 2, cutoff=16)
+        rec = candidate_record(c)
+        assert len(rec["series"]) == 17
+        assert [h for *_, h in series_reads] == [16]
+
+    def test_frozen_with_slots(self, candidates):
+        c = candidates[0]
+        assert not hasattr(c, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            c.genus = 0
 
 
 class TestHistograms:

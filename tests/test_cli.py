@@ -14,6 +14,7 @@ import pytest
 import fano2
 from fano2 import riemann_roch
 from fano2.cli import build_parser, main
+from fano2.graded_rings import FIRST_PREFIX, infer_generators
 
 #: SHA-256 of ``enumerate --format json``: "same results" across
 #: refactors means this exact byte stream.
@@ -352,6 +353,62 @@ class TestLazyModels:
         code, _, _ = run(capsys, "inspect", "--basket", "3/1", "--genus", "2")
         assert code == 0
         assert model_builds == {"numerator_wrt_weights": 1, "classify_shape": 1}
+
+
+class TestSeriesReads:
+    """The series each command has candidates compute: (basket, genus,
+    cutoff) per hilbert_series call, from unread candidates."""
+
+    def test_codim_histogram_reads_only_greedy_prefixes(
+        self, capsys, series_reads
+    ):
+        # A greedy pass stops at its first relation, so it computes the
+        # series to FIRST_PREFIX, doubling, and stopping first at the
+        # cutoff 60, until a prefix holds that relation, and a
+        # K3-obstructed candidate computes none.
+        run(capsys, "histogram", "--by", "codim")
+        depths = {}
+        for basket, genus, h in series_reads:
+            depths.setdefault((basket, genus), []).append(h)
+        assert len(depths) == 1319
+        for (basket, genus), hs in depths.items():
+            assert basket.singular_rank < 20
+            _, numerator = infer_generators(
+                riemann_roch.hilbert_series(basket, genus, 200))
+            stop = next(d for d, k in enumerate(numerator) if k < 0)
+            assert hs == [FIRST_PREFIX, 16, 32, 60][: len(hs)]
+            assert stop <= hs[-1]
+            assert len(hs) == 1 or stop > hs[-2]
+        assert len(series_reads) == 1400
+        assert sum(h + 1 for *_, h in series_reads) == 13404
+
+    def test_k3_obstructions_reads_no_series(self, capsys, series_reads):
+        run(capsys, "k3-obstructions")
+        assert series_reads == []
+
+    @pytest.mark.parametrize(
+        "argv, depth",
+        [(["--format", "json"], 60), (["--format", "json", "--cutoff", "16"], 16),
+         (["--format", "csv"], 60), ([], 2), (["--stable"], 2)])
+    def test_enumerate_reads_what_it_prints(
+        self, capsys, series_reads, argv, depth
+    ):
+        # records read the series to the cutoff, text lines h0(A), h0(2A)
+        run(capsys, "enumerate", *argv)
+        assert {h for *_, h in series_reads} == {depth}
+        assert len(series_reads) == (1413 if "--stable" in argv else 1492)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("basket, genus", [("3/1", 2), ("3/1,5/1,11/3", -2)])
+    def test_inspect_within_its_cutoff_reads_once(
+        self, capsys, series_reads, fmt, basket, genus
+    ):
+        # half the Gorenstein degree (4 and 19) is within the cutoff,
+        # and X38's first relation at 38 too
+        code, _, _ = run(capsys, "inspect", "--basket", basket, "--genus",
+                         str(genus), "--format", fmt)
+        assert code == 0
+        assert [h for *_, h in series_reads] == [60]
 
 
 class TestK3Obstructions:

@@ -195,9 +195,9 @@ class TestPrefixPasses:
             assert (m.weights, m.numerator, m.shape, m.seeded) == (
                 full_series_inference(c)), c
 
-    def test_deep_first_relation_doubles_the_prefix(self, monkeypatch):
-        # X38 in P(2,3,5,11,19) meets its first relation at degree 38:
-        # the prefixes to 8, 16 and 32 run out, the one to 60 holds it.
+    @staticmethod
+    def prefix_lengths(monkeypatch):
+        """The length of each prefix the greedy pass reads."""
         lengths = []
         greedy = graded_rings._greedy
 
@@ -209,9 +209,39 @@ class TestPrefixPasses:
             return greedy(reader(), seeded)
 
         monkeypatch.setattr(graded_rings, "_greedy", recording)
+        return lengths
+
+    def test_deep_first_relation_doubles_the_prefix(
+        self, monkeypatch, series_reads
+    ):
+        # X38 in P(2,3,5,11,19) meets its first relation at degree 38: on
+        # a candidate nobody has read, the prefixes to 8, 16 and 32 run
+        # out, the doubling stops first at the cutoff 60, that prefix holds
+        # it, and each is computed once; the numerator, to half of 38,
+        # reads the series held.
+        lengths = self.prefix_lengths(monkeypatch)
         model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        assert model.numerator == (1,) + (0,) * 37 + (-1,)
         assert lengths == [9, 17, 33, 61]
+        assert [h for *_, h in series_reads] == [8, 16, 32, 60]
         assert model.weights == (2, 3, 5, 11, 19)
+
+    @pytest.mark.parametrize(
+        "cutoff, first_read, depths",
+        [(60, True, [60]), (2, False, [60]), (2, True, [2, 60])])
+    def test_doubling_stops_first_at_the_default_cutoff(
+        self, monkeypatch, series_reads, cutoff, first_read, depths
+    ):
+        # read to its cutoff 60 first, as `inspect` reads it, X38 computes
+        # no series past it; built with cutoff 2, its first prefix lies past
+        # the cutoff and is computed to 60, which then serves every read
+        c = candidate(parse_basket("3/1,5/1,11/3"), -2, cutoff)
+        if first_read:
+            c.series
+        lengths = self.prefix_lengths(monkeypatch)
+        corrected_inference(c).numerator
+        assert lengths == [9, 17, 33, 61]
+        assert [h for *_, h in series_reads] == depths
 
     def test_longer_prefix_extends_the_product(self, monkeypatch):
         # each longer prefix is multiplied by the weights already read,
@@ -246,30 +276,33 @@ class TestPrefixPasses:
         assert passes == [()] * 1492
 
     @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
-    def test_series_is_read_again_only_past_its_end(self, cutoff, monkeypatch):
-        # At the default cutoff only the 13 numerators whose half
-        # Gorenstein degree lies past 60 read the series again, all of
-        # K3-obstructed candidates, so `histogram --by codim` reads none;
-        # a shorter series is read again at most once per candidate, plus
-        # once for each of those 13 numerators.
-        reads = []
-
-        def recording(basket, genus, cutoff):
-            reads.append((basket, genus))
-            return hilbert_series(basket, genus, cutoff)
-
+    def test_series_is_read_again_only_past_its_end(self, cutoff, series_reads):
+        # Each candidate's series is read to the cutoff first, as records
+        # and `inspect` read it.  Its model then computes the series again
+        # only past the degree held, each time deeper.  At the default
+        # cutoff only the 13 numerators whose half Gorenstein degree lies
+        # past 60 do, all of K3-obstructed candidates; a shorter series is
+        # computed again at most once per candidate, to 60, plus once for
+        # each of those 13.
         cands = enumerate_candidates(cutoff)
-        monkeypatch.setattr(graded_rings, "hilbert_series", recording)
+        for c in cands:
+            c.series
+        assert len(series_reads) == 1492
+        del series_reads[:]
         for c in cands:
             corrected_inference(c).numerator
+        depth = {(c.basket, c.genus): cutoff for c in cands}
+        for basket, genus, h in series_reads:
+            assert h > depth[basket, genus]
+            depth[basket, genus] = h
         obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
         if cutoff == 60:
-            assert len(reads) == 13
-            assert set(reads) <= obstructed
+            assert len(series_reads) == 13
+            assert {(b, g) for b, g, _ in series_reads} <= obstructed
         elif cutoff == 200:
-            assert reads == []
+            assert series_reads == []
         else:
-            assert len(reads) <= 1492 + 13
+            assert len(series_reads) <= 1492 + 13
 
 
 class TestLazyModel:
