@@ -12,7 +12,7 @@ recovery fails there by design; every other check on them passes.
 
 from collections import Counter
 
-from fano2 import load_table_entries, verify_table_entry
+from fano2.tables import load_table_entries, verify_table_entry
 
 entries = load_table_entries()
 passed = Counter()

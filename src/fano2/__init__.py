@@ -1,5 +1,9 @@
 """Exact enumeration and graded-ring analysis of the candidate Hilbert
-series of Fano 3-folds polarised by -K = 2A."""
+series of Fano 3-folds polarised by -K = 2A.
+
+The reference tables and their verification live in :mod:`fano2.tables`,
+which is not imported here: only ``verify-tables`` needs it, and its
+fixture checksum loads ``hashlib``."""
 
 from .basket import (
     Basket,
@@ -65,14 +69,6 @@ from .series import (
     numerator_wrt_weights,
     palindromy_sign,
     poly_str,
-)
-from .tables import (
-    CheckReport,
-    FixtureIntegrityError,
-    TableEntry,
-    load_table_entries,
-    verify_all,
-    verify_table_entry,
 )
 
 __version__ = "0.1.0"

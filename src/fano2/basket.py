@@ -16,12 +16,11 @@ the canonical form otherwise.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import count, takewhile
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterable, NamedTuple
 
 #: Upper bound for the basket load sum (r^2 - 1)/r; strict inequality.
 BASKET_BOUND = Fraction(24)
@@ -47,23 +46,36 @@ class BasketParseError(ValueError):
     """Malformed basket text."""
 
 
-@dataclass(frozen=True, order=True)
-class SingularityType:
-    """The quotient singularity 1/r(a, r-a, 2), stored canonically."""
-
+class _TypeFields(NamedTuple):
     r: int
     a: int
 
-    def __post_init__(self):
-        if self.r < 3 or self.r % 2 == 0:
-            raise EvenIndexError(f"index must be odd and >= 3, got r={self.r}")
-        if not 1 <= self.a <= (self.r - 1) // 2:
+
+class SingularityType(_TypeFields):
+    """The quotient singularity 1/r(a, r-a, 2), stored canonically.
+
+    A named tuple (r, a): types order by r, then a, and hash and compare
+    as tuples do.  Every way to build one, ``_replace`` and unpickling
+    included, rejects pairs that are not canonical.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, r: int, a: int):
+        if r < 3 or r % 2 == 0:
+            raise EvenIndexError(f"index must be odd and >= 3, got r={r}")
+        if not 1 <= a <= (r - 1) // 2:
             raise InvalidSingularityError(
-                f"weight a={self.a} not in canonical range 1..{(self.r - 1) // 2} "
-                f"for r={self.r}"
+                f"weight a={a} not in canonical range 1..{(r - 1) // 2} "
+                f"for r={r}"
             )
-        if gcd(self.a, self.r) != 1:
-            raise NotCoprimeError(f"gcd({self.a}, {self.r}) != 1")
+        if gcd(a, r) != 1:
+            raise NotCoprimeError(f"gcd({a}, {r}) != 1")
+        return super().__new__(cls, r, a)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace validates too
+        return cls(*iterable)
 
     @property
     def cost(self) -> Fraction:
@@ -106,42 +118,42 @@ def normalize(r: int, a_raw: int) -> SingularityType:
     return SingularityType(r, min(a, r - a))
 
 
-@dataclass(frozen=True)
-class Basket:
-    """A multiset of singularity types, kept canonically sorted.
+class Basket(tuple):
+    """A multiset of singularity types: the tuple of its entries, sorted.
 
     The constructor does not police the load bound: consumers that need
     it (the Riemann-Roch layer) raise on overweight baskets, and the
     enumerator only ever produces admissible ones.
     """
 
-    entries: tuple[SingularityType, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(sorted(self.entries)))
+    def __new__(cls, entries: Iterable[SingularityType] = ()):
+        return super().__new__(cls, sorted(entries))
 
-    def __iter__(self) -> Iterator[SingularityType]:
-        return iter(self.entries)
+    @property
+    def entries(self) -> tuple[SingularityType, ...]:
+        return tuple(self)
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def __repr__(self) -> str:
+        return f"Basket(entries={tuple(self)!r})"
 
     @property
     def cost(self) -> Fraction:
-        return sum((s.cost for s in self.entries), Fraction(0))
+        return sum((s.cost for s in self), Fraction(0))
 
     @property
     def singular_rank(self) -> int:
         """Sum of r - 1 over the basket; at least 20 rules out a K3 elephant."""
-        return sum(s.rank for s in self.entries)
+        return sum(s.rank for s in self)
 
     def __str__(self) -> str:
         out = []
         i = 0
-        while i < len(self.entries):
-            s = self.entries[i]
+        while i < len(self):
+            s = self[i]
             j = i
-            while j < len(self.entries) and self.entries[j] == s:
+            while j < len(self) and self[j] == s:
                 j += 1
             mult = j - i
             out.append(f"{mult}x{s}" if mult > 1 else str(s))
@@ -219,7 +231,7 @@ def enumerate_baskets() -> list[Basket]:
     acc: list[SingularityType] = []
 
     def walk(start: int, remaining: int) -> None:
-        out.append(Basket(tuple(acc)))
+        out.append(Basket(acc))
         for i in range(start, len(universe)):
             if loads[i] < remaining:  # strict: total load must stay < 24
                 acc.append(universe[i])

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .basket import Basket, enumerate_baskets
 from .riemann_roch import (
@@ -56,7 +55,6 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
 class Candidate:
     """One admissible (basket, genus) pair with its derived data.
 
@@ -69,20 +67,61 @@ class Candidate:
     The Hilbert series is computed on first read: :meth:`read` returns it
     to any degree and keeps the deepest series computed so far, and
     ``series`` is the series to ``cutoff``, the degree records report.
-    The kept series is not compared: it is a function of basket and genus.
+    A candidate is read-only.  It compares and hashes by its fields; the
+    kept series is left out, since it is a function of basket and genus.
     """
 
-    basket: Basket
-    genus: int
-    scale: int
-    a3_scaled: int
-    acz12_scaled: int
-    status: str
-    cutoff: int
-    k3_obstructed: bool
-    # Set only by read.  Left an init parameter: init=False measured
-    # 0.3 MB more `enumerate` RSS, through allocation order alone.
-    _held: Series = field(default=(), compare=False, repr=False)
+    __slots__ = (
+        "basket", "genus", "scale", "a3_scaled", "acz12_scaled", "status",
+        "cutoff", "k3_obstructed", "_held",
+    )
+
+    def __init__(
+        self,
+        basket: Basket,
+        genus: int,
+        scale: int,
+        a3_scaled: int,
+        acz12_scaled: int,
+        status: str,
+        cutoff: int,
+        k3_obstructed: bool,
+    ) -> None:
+        put = object.__setattr__
+        put(self, "basket", basket)
+        put(self, "genus", genus)
+        put(self, "scale", scale)
+        put(self, "a3_scaled", a3_scaled)
+        put(self, "acz12_scaled", acz12_scaled)
+        put(self, "status", status)
+        put(self, "cutoff", cutoff)
+        put(self, "k3_obstructed", k3_obstructed)
+        put(self, "_held", ())  # set only by read
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"candidate field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return (self.basket, self.genus, self.scale, self.a3_scaled,
+                self.acz12_scaled, self.status, self.cutoff,
+                self.k3_obstructed)
+
+    def __eq__(self, other):
+        if other.__class__ is not Candidate:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Candidate, self._fields()
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields())
+        return f"Candidate({', '.join(f'{k}={v!r}' for k, v in fields)})"
 
     def read(self, h: int) -> Series:
         """The series to degree h, sliced from the series held.
@@ -179,8 +218,7 @@ def distinct_series_count(candidates: Iterable[Candidate]) -> int:
     return len({c.series for c in candidates})
 
 
-@dataclass(frozen=True)
-class GenusRow:
+class GenusRow(NamedTuple):
     genus: int
     total: int
     unstable: int

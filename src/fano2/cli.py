@@ -23,7 +23,10 @@ codimensions, so each of its greedy passes computes the series only to
 the prefix that holds its first relation.
 
 The parser is built once per process, on the first :func:`main` call, so
-a long-lived caller pays for it once.
+a long-lived caller pays for it once.  Importing this module loads only
+what every command needs: ``verify-tables`` alone loads
+:mod:`fano2.tables`, with the fixture and the ``hashlib`` its checksum
+needs, on its first call.
 
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
@@ -59,7 +62,6 @@ from .riemann_roch import (
     PolarisationResidualError,
 )
 from .series import DEFAULT_CUTOFF, RationalForm, poly_str
-from .tables import verify_all
 
 
 @cache
@@ -232,6 +234,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_tables(args: argparse.Namespace) -> int:
+    from .tables import verify_all  # the tables and hashlib load here only
+
     reports = verify_all(table_id=args.table)
     totals = Counter(r.entry.table_id for r in reports)
     passed = Counter(r.entry.table_id for r in reports if r.ok)

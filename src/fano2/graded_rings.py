@@ -40,7 +40,6 @@ weights and codimensions, as ``histogram --by codim`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
@@ -78,7 +77,6 @@ REFERENCE_CODIM_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
 class GradedModel:
     """Inferred ambient weights and Hilbert numerator for a candidate.
 
@@ -94,16 +92,42 @@ class GradedModel:
     The numerator and the shape are built on first read, through ``read``,
     the candidate's :meth:`~fano2.classify.Candidate.read` that the greedy
     pass used, and then kept, so ``histogram --by codim``, which reads
-    only codimensions, builds neither.  A model
-    compares by (basket, genus, weights, seeded): the numerator and shape
-    are functions of the first three, so equal models have equal ones.
+    only codimensions, builds neither.  A model is read-only.  It
+    compares and hashes by (basket, genus, weights, seeded): the numerator
+    and shape are functions of the first three, so equal models have
+    equal ones.
     """
 
-    basket: Basket
-    genus: int
-    weights: tuple[int, ...]
-    seeded: tuple[int, ...]
-    read: Callable[[int], Series] = field(compare=False, repr=False)
+    def __init__(
+        self,
+        basket: Basket,
+        genus: int,
+        weights: tuple[int, ...],
+        seeded: tuple[int, ...],
+        read: Callable[[int], Series],
+    ) -> None:
+        self.__dict__.update(basket=basket, genus=genus, weights=weights,
+                             seeded=seeded, read=read)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"model field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return self.basket, self.genus, self.weights, self.seeded
+
+    def __eq__(self, other):
+        if other.__class__ is not GradedModel:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"GradedModel(basket={self.basket!r}, genus={self.genus!r}, "
+                f"weights={self.weights!r}, seeded={self.seeded!r})")
 
     @cached_property
     def numerator(self) -> IntPoly:

@@ -22,10 +22,9 @@ floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: Default truncation degree for series work: the cutoff that is printed
 #: unless another is asked for, and the degree every reference table row
@@ -160,19 +159,26 @@ def _div_one_minus_tw(c: list[int], w: int) -> None:
 # closed rational forms
 
 
-@dataclass(frozen=True)
-class RationalForm:
-    """A closed form N(t) / prod_w (1 - t^w), weights sorted, N trimmed."""
-
+class _FormFields(NamedTuple):
     numerator: IntPoly
     denom_weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "numerator", poly(self.numerator))
-        ws = tuple(sorted(int(w) for w in self.denom_weights))
+
+class RationalForm(_FormFields):
+    """A closed form N(t) / prod_w (1 - t^w), weights sorted, N trimmed."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator: Sequence[int], denom_weights: Iterable[int]):
+        num = poly(numerator)
+        ws = tuple(sorted(int(w) for w in denom_weights))
         if any(w < 1 for w in ws):
             raise ValueError("denominator weights must be positive")
-        object.__setattr__(self, "denom_weights", ws)
+        return super().__new__(cls, num, ws)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace normalises too
+        return cls(*iterable)
 
     def __str__(self) -> str:
         num = poly_str(self.numerator)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .basket import Basket, parse_basket
 from .classify import candidate
@@ -50,8 +50,7 @@ class FixtureIntegrityError(RuntimeError):
     """The table fixture does not match its pinned checksum."""
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One row of the reference tables."""
 
     table_id: int
@@ -66,13 +65,13 @@ class TableEntry:
     numerator_top_degree: int | None = None
 
 
-@dataclass
 class CheckReport:
     """Pass/fail per check for one table entry."""
 
-    entry: TableEntry
-    checks: dict[str, bool] = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, entry: TableEntry) -> None:
+        self.entry = entry
+        self.checks: dict[str, bool] = {}
+        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:

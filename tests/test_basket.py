@@ -1,6 +1,9 @@
 """Singularity types, normalisation, basket enumeration and text syntax."""
 
+import copy
+import pickle
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -62,6 +65,78 @@ class TestNormalize:
             assert 1 <= s.a <= (r - 1) // 2 and gcd(s.a, r) == 1
             # the germ only depends on a mod r up to sign
             assert s == normalize(r, -a_raw) == normalize(r, a_raw + r)
+
+
+def round_trips(value):
+    """Copies of ``value`` through every pickle protocol and the copy module."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        yield pickle.loads(pickle.dumps(value, protocol))
+    yield copy.copy(value)
+    yield copy.deepcopy(value)
+
+
+class TestValueSemantics:
+    def test_universe_order_and_type_order(self):
+        universe = singularity_universe()
+        assert universe[:6] == (
+            SingularityType(3, 1), SingularityType(5, 1),
+            SingularityType(5, 2), SingularityType(7, 1),
+            SingularityType(7, 2), SingularityType(7, 3),
+        )
+        assert [(s.r, s.a) for s in universe] == sorted(
+            (s.r, s.a) for s in universe)
+        assert sorted(reversed(universe)) == list(universe)
+        assert SingularityType(5, 2) < SingularityType(7, 1)
+        assert SingularityType(7, 2) < SingularityType(7, 3)
+
+    def test_basket_sorts_its_entries(self):
+        s3, s5, s11 = SingularityType(3, 1), SingularityType(5, 2), normalize(11, 3)
+        basket = Basket((s11, s3, s5, s3))
+        assert basket.entries == tuple(basket) == (s3, s3, s5, s11)
+        assert len(basket) == 4
+        assert basket == Basket(entries=[s5, s3, s11, s3])
+        assert str(basket) == "2x3/1,5/2,11/3"
+        assert repr(Basket((s5, s3))) == (
+            "Basket(entries=(SingularityType(r=3, a=1), "
+            "SingularityType(r=5, a=2)))")
+
+    def test_baskets_are_equal_exactly_when_their_entries_are(self):
+        sample = enumerate_baskets()[::53] + [parse_basket("2x3/1,5/2")]
+        for x, y in product(sample, repeat=2):
+            assert (x == y) == (x.entries == y.entries)
+            if x == y:
+                assert hash(x) == hash(y)
+        assert Basket((SingularityType(3, 1),)) != Basket(
+            (SingularityType(3, 1),) * 2)
+
+    @pytest.mark.parametrize(
+        "value, rebuild",
+        [(SingularityType(11, 3), lambda s: SingularityType(*s)),
+         (Basket(), Basket),
+         (parse_basket("2x3/1,5/2"), Basket)],
+        ids=["type", "empty-basket", "basket"],
+    )
+    def test_pickle_and_copy_round_trips(self, value, rebuild):
+        # every copy is equal, of the same type, and as its validating
+        # constructor builds it
+        for clone in round_trips(value):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+            assert rebuild(clone) == clone
+            assert str(clone) == str(value)
+
+    def test_replace_validates(self):
+        s = SingularityType(11, 3)
+        assert s._replace(a=2) == SingularityType(11, 2)
+        with pytest.raises(EvenIndexError):
+            s._replace(r=12)
+
+    def test_unpickling_validates(self):
+        # index 11 -> 12 in the pickled arguments: the constructor runs
+        data = pickle.dumps(SingularityType(11, 3), pickle.HIGHEST_PROTOCOL)
+        assert data.count(b"K\x0b") == 1
+        with pytest.raises(EvenIndexError):
+            pickle.loads(data.replace(b"K\x0b", b"K\x0c"))
 
 
 class TestLocalData:

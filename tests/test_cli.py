@@ -469,3 +469,44 @@ class TestUsage:
         assert run(capsys, "enumerate", "--stable")[0] == 0
         again = run(capsys, *query)
         assert again == first == fresh(*query)
+
+
+#: Run with ``python -c PROBE [ARGV...]``: imports fano2.cli, runs
+#: ``main(ARGV)`` when ARGV is given, and prints the modules this loaded.
+IMPORT_PROBE = """
+import contextlib, io, sys
+before = set(sys.modules)
+import fano2.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        fano2.cli.main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+#: What only ``verify-tables`` needs: the tables and the checksum's hashlib.
+#: dataclasses is not used by fano2 at all.
+NOT_AT_STARTUP = {"dataclasses", "hashlib", "_hashlib", "fano2.tables"}
+
+
+class TestImportBudget:
+    @staticmethod
+    def loaded(*argv):
+        env = os.environ | {"PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return set(proc.stdout.split())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [(), ("histogram", "--by", "codim"),
+         ("inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2")],
+    )
+    def test_commands_leave_out_the_tables(self, argv):
+        loaded = self.loaded(*argv)
+        assert "fano2.cli" in loaded
+        assert not loaded & NOT_AT_STARTUP
+
+    def test_verify_tables_loads_the_tables(self):
+        assert "fano2.tables" in self.loaded("verify-tables")

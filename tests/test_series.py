@@ -1,5 +1,7 @@
 """Exact series arithmetic: expansion, numerator extraction, degree."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,28 @@ def form_coefficient_oracle(numerator, weights, k):
         for d, c in enumerate(numerator)
         if c != 0 and d <= k
     )
+
+
+class TestRationalForm:
+    def test_normalises_and_validates(self):
+        form = RationalForm([1, 0, -1, 0, 0], [5, 1, 2])
+        assert form.numerator == (1, 0, -1) and form.denom_weights == (1, 2, 5)
+        assert str(form) == "(1 - t^2) / (1 - t)(1 - t^2)(1 - t^5)"
+        with pytest.raises(ValueError, match="positive"):
+            RationalForm((1,), (1, 0))
+        assert form._replace(denom_weights=[3, 1]).denom_weights == (1, 3)
+        with pytest.raises(ValueError, match="positive"):
+            form._replace(denom_weights=(0,))
+
+    def test_pickle_and_copy_round_trips(self):
+        form = RationalForm((1, 0, 0, -2, -3, 3, 2, 0, 0, -1),
+                            (1, 1, 1, 1, 1, 2, 3))
+        copies = [pickle.loads(pickle.dumps(form, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for clone in copies + [copy.copy(form), copy.deepcopy(form)]:
+            assert type(clone) is RationalForm
+            assert clone == form and hash(clone) == hash(form)
+            assert RationalForm(*clone) == clone
 
 
 class TestExpand:
