@@ -20,10 +20,10 @@ is the one way to build a candidate.
 
 from __future__ import annotations
 
-import csv
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .basket import Basket, enumerate_baskets
@@ -250,14 +250,22 @@ def genus_histogram(candidates: Sequence[Candidate]) -> list[GenusRow]:
 # serialisation
 
 
+def ratio_text(p: int, q: int) -> str:
+    """p/q in lowest terms as ``str(Fraction(p, q))`` writes it, for q > 0,
+    without building the Fraction."""
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return str(p) if q == 1 else f"{p}/{q}"
+
+
 def candidate_record(c: Candidate) -> dict:
     """JSON-ready dict with the fixed field order of RECORD_FIELDS."""
     series = c.series
     return {
         "basket": [[s.r, s.a] for s in c.basket],
         "genus": c.genus,
-        "A3": str(c.a3),
-        "Ac2_over_12": str(c.acz12),
+        "A3": ratio_text(c.a3_scaled, c.scale),
+        "Ac2_over_12": ratio_text(c.acz12_scaled, c.scale),
         "stable": c.stable,
         "h0_A": series[1],
         "h0_2A": series[2],
@@ -279,6 +287,8 @@ def write_json(candidates: Sequence[Candidate], fp: TextIO) -> None:
 def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:
     """CSV with the JSON field order; basket in r/a text syntax, series as
     space-separated integers."""
+    import csv  # only this writer needs it
+
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(RECORD_FIELDS)
     for c in candidates:

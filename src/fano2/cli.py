@@ -52,6 +52,7 @@ from .classify import (
     distinct_series_count,
     enumerate_candidates,
     genus_histogram,
+    ratio_text,
     write_csv,
     write_json,
 )
@@ -144,8 +145,10 @@ def _candidate_line(c: Candidate) -> str:
     basket = str(c.basket) or "-"
     series = c.read(2)
     return (
-        f"{basket:24s} g={c.genus:<3d} A3={c.a3!s:8s} "
-        f"Ac2/12={c.acz12!s:8s} {'stable' if c.stable else 'unstable':8s} "
+        f"{basket:24s} g={c.genus:<3d} "
+        f"A3={ratio_text(c.a3_scaled, c.scale):8s} "
+        f"Ac2/12={ratio_text(c.acz12_scaled, c.scale):8s} "
+        f"{'stable' if c.stable else 'unstable':8s} "
         f"h0(A)={series[1]:<3d} h0(2A)={series[2]:<4d} "
         f"K3-obstructed={'yes' if c.k3_obstructed else 'no'}"
     )
@@ -153,7 +156,8 @@ def _candidate_line(c: Candidate) -> str:
 
 def _k3_line(c: Candidate) -> str:
     return (
-        f"{str(c.basket):24s} g={c.genus:<3d} A3={c.a3!s:8s} "
+        f"{str(c.basket):24s} g={c.genus:<3d} "
+        f"A3={ratio_text(c.a3_scaled, c.scale):8s} "
         f"rank={c.basket.singular_rank:<3d} "
         f"{'stable' if c.stable else 'unstable'}"
     )
@@ -215,8 +219,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     lines = [
         f"basket:      {basket or '(nonsingular)'}",
         f"genus:       {c.genus}",
-        f"A3:          {c.a3}",
-        f"Ac2/12:      {c.acz12}",
+        f"A3:          {record['A3']}",
+        f"Ac2/12:      {record['Ac2_over_12']}",
         f"status:      {c.status}",
         f"singular rank: {basket.singular_rank}"
         + ("  (no K3 elephant)" if c.k3_obstructed else ""),

@@ -28,12 +28,22 @@ into integer pieces:
     h^0(nA) = [1 + n - 2C] + N C + sum_{s in B} Q_s(n),
 
 where Q_s is an integer table of one point of type s, cached per (type,
-cutoff) by :func:`_point_series`.  A series is then one integer sum per
-degree, with no per-basket denominator.
+cutoff) by :func:`_point_series`, with no per-basket denominator.
+
+Each integer table T_0..T_L-1 (the two unit tables per cutoff and Q_s per
+(type, cutoff)) is cached packed, as one Python int: its value at
+t = 2^64, sum T_k 2^(64 k), with negative T_k allowed, and beside it the
+bound max |T_k|.  Evaluation at 2^64 is a ring homomorphism Z[t] -> Z, so
+a series is a few big-int additions and one small multiply.  Its lanes
+are read back exactly while every coefficient is below 2^63 in absolute
+value, and the tables' bounds bound the series in O(points); past 2^63
+the same sum runs at 2^w for the narrowest multiple w of 64 bits that
+holds it (:func:`_lane_width`).
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -156,13 +166,81 @@ def _scaled(x: Fraction, d: int) -> int:
     return y.numerator
 
 
+#: Bits per lane of a packed table whose coefficients are below 2^63.
+LANE = 64
+
+#: A packed table: its value at t = 2^w and the bound max |T_k|, where w
+#: is the :func:`_lane_width` of the bound: LANE unless a coefficient
+#: reaches 2^63, which C(n+2,3) does only past n = 3.8 million.
+Packed = tuple[int, int]
+
+
+def _lane_width(bound: int) -> int:
+    """The narrowest multiple of LANE bits whose signed lanes hold every
+    integer of absolute value at most bound."""
+    return LANE * (bound.bit_length() // LANE + 1)
+
+
 @cache
-def _unit_series(cutoff: int) -> tuple[Series, Series]:
+def _bias(length: int, width: int) -> int:
+    """2^(width-1) in each of length lanes of width bits."""
+    return ((1 << width * length) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+@cache
+def _lanes(length: int) -> struct.Struct:
+    return struct.Struct(f"<{length}q")
+
+
+def _pack(table: Series, width: int) -> int:
+    """sum T_k 2^(width k), each T_k in [-2^(width-1), 2^(width-1)).
+
+    Lane k of the bytes holds T_k in two's complement; flipping bit
+    width-1 of each lane turns it into T_k + 2^(width-1), so the lanes
+    read as one unsigned int are the packed value plus :func:`_bias`.
+    """
+    m = _bias(len(table), width)
+    raw = b"".join(t.to_bytes(width // 8, "little", signed=True) for t in table)
+    return (int.from_bytes(raw, "little") ^ m) - m
+
+
+def _unpack(x: int, length: int, width: int) -> Series:
+    """The lanes of :func:`_pack`: exact while each is in range.
+
+    Adding the bias makes every lane nonnegative with no carry between
+    lanes, and flipping bit width-1 back leaves each in two's complement.
+    Both steps name the byte order, so the host's does not matter.
+    """
+    m = _bias(length, width)
+    raw = ((x + m) ^ m).to_bytes(width // 8 * length, "little")
+    if width == LANE:
+        return _lanes(length).unpack(raw)
+    step = width // 8
+    return tuple(
+        int.from_bytes(raw[i : i + step], "little", signed=True)
+        for i in range(0, len(raw), step)
+    )
+
+
+def _packed(table: Series) -> Packed:
+    bound = max(map(abs, table))
+    return _pack(table, _lane_width(bound)), bound
+
+
+def _table(packed: Packed, length: int) -> Series:
+    """The coefficients of a packed table of the given length."""
+    x, bound = packed
+    return _unpack(x, length, _lane_width(bound))
+
+
+@cache
+def _unit_series(cutoff: int) -> tuple[Packed, Packed]:
     """The genus-free polynomial part 1 + n - 2 C(n+2,3), expanded from
-    (1 - 4t + t^2)/(1-t)^4, and C(n+2,3) from t/(1-t)^4, up to cutoff."""
+    (1 - 4t + t^2)/(1-t)^4, and C(n+2,3) from t/(1-t)^4, up to cutoff;
+    both packed."""
     return (
-        expand(RationalForm((1, -4, 1), (1, 1, 1, 1)), cutoff),
-        expand(RationalForm((0, 1), (1, 1, 1, 1)), cutoff),
+        _packed(expand(RationalForm((1, -4, 1), (1, 1, 1, 1)), cutoff)),
+        _packed(expand(RationalForm((0, 1), (1, 1, 1, 1)), cutoff)),
     )
 
 
@@ -180,10 +258,10 @@ def _type_constants(s: SingularityType) -> tuple[int, int, int]:
 
 
 @cache
-def _point_series(s: SingularityType, cutoff: int) -> Series:
-    """Q_s(n) for n = 0..cutoff: the integer share of one point of type s
-    in h^0(nA), with C = C(n+2,3) and the integers of
-    :func:`_type_constants`,
+def _point_series(s: SingularityType, cutoff: int) -> Packed:
+    """Q_s(n) for n = 0..cutoff, packed: the integer share of one point of
+    type s in h^0(nA), with C = C(n+2,3) read from the packed unit table
+    and the integers of :func:`_type_constants`,
 
         Q_s(n) = [24 r per(s, n mod r) - 24 r per(s, 1) C
                   - (r^2 - 1)(n - C)] / (24 r).
@@ -199,13 +277,16 @@ def _point_series(s: SingularityType, cutoff: int) -> Series:
     an integer.  Each of the 58 types forms an admissible one-point
     basket, so these checks fire exactly where that division would, and
     the series of any basket is a sum of integer tables.
+
+    The table is built and checked as a list; only its packed value and
+    bound are cached.
     """
     r = s.r
     d = 24 * r
     cost, plus, _ = _type_constants(s)
     per = [_scaled(periodic_term(s, k), d) for k in range(min(r, cutoff + 1))]
     out = []
-    for n, c in enumerate(_unit_series(cutoff)[1]):
+    for n, c in enumerate(_table(_unit_series(cutoff)[1], cutoff + 1)):
         x = per[n % r] - plus * c - cost * (n - c)
         q, rem = divmod(x, d)
         if rem:
@@ -214,7 +295,7 @@ def _point_series(s: SingularityType, cutoff: int) -> Series:
                 f"type {s}: {Fraction(x, d)}"
             )
         out.append(q)
-    return tuple(out)
+    return _packed(out)
 
 
 @cache
@@ -301,21 +382,37 @@ def hilbert_series(
 
         h^0(nA) = [1 + n - 2C] + (genus + 2) C + sum_s Q_s(n),
 
-    with Q_s of :func:`_point_series`, cached per (type, cutoff), so the
-    series is one integer sum per degree.  :func:`scaled_degree` is read
-    first, so an overweight basket, a nonzero polarisation residual and
-    A^3 <= 0 raise :class:`BasketBoundError`,
-    :class:`PolarisationResidualError` and :class:`NonpositiveDegreeError`.
-    The integrality check is the exact division in :func:`_point_series`.
-    Positivity of the coefficients is a consequence checked by the test
-    suite.
+    with Q_s of :func:`_point_series`, cached per (type, cutoff).  Every
+    table is packed as its value at t = 2^64, so the whole series is the
+    one integer U + (genus + 2) C + sum_s Q_s, decoded once.  The tables'
+    bounds give max |U| + |genus + 2| max C + sum_s max |Q_s| as a bound
+    on every coefficient; when it reaches 2^63 the tables are repacked
+    at the :func:`_lane_width` of the bound and the sum runs there, so
+    the result is exact for every genus and cutoff.
+
+    :func:`scaled_degree` is read first, so an overweight basket, a
+    nonzero polarisation residual and A^3 <= 0 raise
+    :class:`BasketBoundError`, :class:`PolarisationResidualError` and
+    :class:`NonpositiveDegreeError`.  The integrality check is the exact
+    division in :func:`_point_series`.  Positivity of the coefficients is
+    a consequence checked by the test suite.
     """
     scaled_degree(basket, genus)
     n = genus + 2
-    base, cubes = _unit_series(cutoff)
-    top = [b + n * c for b, c in zip(base, cubes)]
-    points = (_point_series(s, cutoff) for s in basket)
-    return tuple(map(sum, zip(top, *points)))
+    length = cutoff + 1
+    units = _unit_series(cutoff)
+    points = [_point_series(s, cutoff) for s in basket]
+    (base, base_max), (cubes, cubes_max) = units
+    width = _lane_width(
+        base_max + abs(n) * cubes_max + sum([m for _, m in points])
+    )
+    if width == LANE:
+        points = [p for p, _ in points]
+    else:
+        base, cubes, *points = (
+            _pack(_table(t, length), width) for t in (*units, *points)
+        )
+    return _unpack(base + n * cubes + sum(points), length, width)
 
 
 def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:

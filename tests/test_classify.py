@@ -25,6 +25,7 @@ from fano2.classify import (
     distinct_series_count,
     enumerate_candidates,
     genus_histogram,
+    ratio_text,
     write_csv,
     write_json,
 )
@@ -255,6 +256,14 @@ class TestSerialisation:
         rec = candidate_record(c)
         assert rec["A3"] == "1/165"
         assert rec["Ac2_over_12"] == "116/495"
+
+    def test_ratio_text_is_the_fraction_text(self, candidates):
+        for c in candidates:
+            assert ratio_text(c.a3_scaled, c.scale) == str(c.a3)
+            assert ratio_text(c.acz12_scaled, c.scale) == str(c.acz12)
+        for p, q in ((0, 1), (0, 7), (-3, 4), (-6, 4), (-12, 4), (12, 4),
+                     (5, 1), (-5, 1), (10**30, 6), (-(10**30) - 1, 3)):
+            assert ratio_text(p, q) == str(Fraction(p, q)), (p, q)
 
     def test_json_stream_is_schema_shaped(self, candidates):
         buf = StringIO()

@@ -483,9 +483,12 @@ if sys.argv[1:]:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-#: What only ``verify-tables`` needs: the tables and the checksum's hashlib.
-#: dataclasses is not used by fano2 at all.
-NOT_AT_STARTUP = {"dataclasses", "hashlib", "_hashlib", "fano2.tables"}
+#: What only ``verify-tables`` needs: the tables and the checksum's hashlib;
+#: and what only ``--format csv`` needs.  dataclasses is not used by fano2
+#: at all.
+NOT_AT_STARTUP = {
+    "dataclasses", "hashlib", "_hashlib", "fano2.tables", "csv", "_csv",
+}
 
 
 class TestImportBudget:
