@@ -22,11 +22,14 @@ read: ``inspect`` reads both, while ``histogram --by codim`` reads only
 codimensions, so each of its greedy passes computes the series only to
 the prefix that holds its first relation.
 
-The parser is built once per process, on the first :func:`main` call, so
-a long-lived caller pays for it once.  Importing this module loads only
-what every command needs: ``verify-tables`` alone loads
-:mod:`fano2.tables`, with the fixture and the ``hashlib`` its checksum
-needs, on its first call.
+The parsers are built once per process, on the first :func:`main` call,
+so a long-lived caller pays for them once.  Each call is parsed by its
+command's own parser, in one argparse pass.  The top-level parser answers
+only argv that names no command, or that the command's parser does not
+fully accept, so every help text, usage line and error message is
+argparse's own.  Importing this module loads only what every command
+needs: ``verify-tables`` alone loads :mod:`fano2.tables`, with the
+fixture and the ``hashlib`` its checksum needs, on its first call.
 
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
@@ -66,9 +69,12 @@ from .series import DEFAULT_CUTOFF, RationalForm, poly_str
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then shared: parsing
-    does not change it, so every later :func:`main` call reuses it."""
+def _parsers() -> tuple[
+    argparse.ArgumentParser, dict[str, argparse.ArgumentParser]
+]:
+    """The top-level parser and its map from command name to the command's
+    parser, built on first use and then shared: parsing changes neither,
+    so every later :func:`main` call reuses them."""
     parser = argparse.ArgumentParser(
         prog="fano2",
         description=(
@@ -113,7 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("k3-obstructions",
                        help="candidates that cannot carry a K3 elephant")
     common(p, cmd_k3_obstructions)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, shared by every call.  :func:`parse_args`
+    consults it only for argv that names no command, or that the command's
+    parser does not fully accept; it returns what this parser's
+    ``parse_args`` would."""
+    return _parsers()[0]
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -311,11 +325,26 @@ def cmd_k3_obstructions(args: argparse.Namespace) -> int:
     return 0
 
 
+def parse_args(argv=None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one argparse pass when argv
+    names a command and the command's parser accepts all the rest.  The
+    top-level parser would only hand that rest over; every other argv goes
+    to it, so help, usage and errors are argparse's own."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+    if command is None or extras:
+        args = parser.parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     if "cutoff" in args and args.cutoff < 2:
-        parser.error("--cutoff must be >= 2")
+        build_parser().error("--cutoff must be >= 2")
     try:
         return args.run(args)
     except OSError as exc:

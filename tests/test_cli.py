@@ -13,7 +13,7 @@ import pytest
 
 import fano2
 from fano2 import riemann_roch
-from fano2.cli import build_parser, main
+from fano2.cli import build_parser, main, parse_args
 from fano2.graded_rings import FIRST_PREFIX, infer_generators
 
 #: SHA-256 of ``enumerate --format json``: "same results" across
@@ -424,7 +424,81 @@ class TestK3Obstructions:
         assert "A3=19/21" in witness[0]
 
 
+def parsed(capsys, parse, argv):
+    """Exit code, stdout, stderr and namespace items of one parse."""
+    try:
+        code, items = None, list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        code, items = exc.code, None
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, items
+
+
+#: Every command with valid options; then help, usage errors and extras,
+#: which the top-level parser answers; then tuples.
+PARSE_ARGVS = [
+    ["enumerate"],
+    ["enumerate", "--stable", "--cutoff", "16", "--format", "csv",
+     "--output", "out.csv"],
+    ["inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2"],
+    ["inspect", "--genus", "0", "--basket=", "--cutoff", "120",
+     "--format", "json", "--output", "out.json"],
+    ["verify-tables"],
+    ["verify-tables", "--table", "3", "--output", "out.txt"],
+    ["histogram"],
+    ["histogram", "--by", "codim", "--stable", "--cutoff", "30",
+     "--format", "csv"],
+    ["k3-obstructions"],
+    ["k3-obstructions", "--cutoff", "200", "--format", "json"],
+    [],
+    ["-h"],
+    ["frobnicate"],
+    ["inspect"],
+    ["inspect", "--basket", "3/1"],
+    ["inspect", "--basket", "3/1", "--genus", "x"],
+    ["inspect", "--basket", "3/1", "--genus", "0", "--format", "csv"],
+    ["inspect", "--basket", "3/1", "--genus", "0", "extra"],
+    ["inspect", "-h"],
+    ["verify-tables", "--cutoff", "60"],
+    ["enumerate", "--cut", "3", "--stable"],
+    ["inspect", "--basket", "3/1", "--genus", "0", "--cutoff=1"],
+    ["histogram", "--by=codim", "--bogus"],
+    ("inspect", "--basket", "3/1", "--genus", "0"),
+    ("inspect", "--basket", "3/1", "--genus", "0", "extra"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=repr)
+    def test_parse_matches_the_top_level_parser(self, capsys, argv):
+        assert parsed(capsys, parse_args, argv) == parsed(
+            capsys, build_parser().parse_args, argv)
+
+    def test_argv_defaults_to_sys_argv(self, capsys, monkeypatch):
+        query = ("inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2",
+                 "--format", "json")
+        expected = run(capsys, *query)
+        monkeypatch.setattr(sys, "argv", ["fano2", *query])
+        assert parsed(capsys, parse_args, None) == parsed(
+            capsys, build_parser().parse_args, None)
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected
+
+    def test_a_command_is_parsed_by_its_own_parser(self, capsys, monkeypatch):
+        # A query that names a command and that its parser accepts never
+        # reaches the top-level parser.
+        query = ("inspect", "--basket", "3/1,5/1,11/3", "--genus", "-2",
+                 "--format", "json")
+        expected = run(capsys, *query)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser read a command")
+
+        monkeypatch.setattr(build_parser(), "parse_args", refuse)
+        assert run(capsys, *query) == expected
+        assert expected[0] == 0 and json.loads(expected[1])["genus"] == -2
+
     def test_unknown_command_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

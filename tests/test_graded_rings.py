@@ -405,8 +405,9 @@ class TestShapeClassification:
                 assert model.codim >= 4
 
     def test_shape_counts(self, models):
-        # ROADMAP items 2 (section-aware seeding) and 3 (the codim-4
-        # format) change these counts by design.
+        # ROADMAP item 1 (A: seeds in degrees with sections; B:
+        # quasi-smoothness at the basket; C: typed format failures) changes
+        # these counts by design.
         assert Counter(m.shape for _, m in models) == {
             CODIM_GE4: 1391, UNKNOWN: 64, CODIM2_CI: 26, HYPERSURFACE: 8,
             CODIM3_PFAFFIAN: 3,
