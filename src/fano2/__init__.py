@@ -7,6 +7,7 @@ fixture checksum loads ``hashlib``."""
 
 from .basket import (
     Basket,
+    BasketBoundError,
     BasketParseError,
     EvenIndexError,
     InvalidSingularityError,
@@ -41,7 +42,6 @@ from .graded_rings import (
     polarization_gaps,
 )
 from .riemann_roch import (
-    BasketBoundError,
     FANO_INDEX,
     NonpositiveDegreeError,
     PolarisationResidualError,

@@ -4,13 +4,15 @@ A polarising divisor of index 2 forces the third local weight to be 2 and
 the index r to be odd.  A type is stored canonically with
 ``1 <= a <= (r-1)/2`` (the germs for a and r-a are isomorphic).  A basket
 is a multiset of types; the ones carried by a Fano 3-fold satisfy the
-load bound ``sum (r^2 - 1)/r < 24``.
+load bound ``sum (r^2 - 1)/r < 24``.  Every point costs at least 8/3, so
+such a basket has at most MAX_POINTS points.
 
 Baskets have a compact text syntax used by the command line and the data
 fixtures: comma-separated ``r/a`` pairs with an optional multiplicity
 prefix, e.g. ``2x3/1,5/2`` for two copies of 1/3(1,2,2) and one of
 1/5(2,3,2).  The parser insists on canonical ``r/a`` pairs and suggests
-the canonical form otherwise.
+the canonical form otherwise, and it refuses a basket of more than
+MAX_POINTS points before building it, whatever its multiplicities.
 """
 
 from __future__ import annotations
@@ -18,12 +20,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from itertools import count, takewhile
+from itertools import count, groupby, takewhile
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 #: Upper bound for the basket load sum (r^2 - 1)/r; strict inequality.
 BASKET_BOUND = Fraction(24)
+
+#: Most points a basket within the bound has: each costs at least 8/3,
+#: the cost of 1/3(1, 2, 2), and nine of those reach 24.
+MAX_POINTS = 8
 
 
 class InvalidSingularityError(ValueError):
@@ -44,6 +50,18 @@ class NotCoprimeError(InvalidSingularityError):
 
 class BasketParseError(ValueError):
     """Malformed basket text."""
+
+
+class BasketBoundError(ValueError):
+    """Basket load reaches 24, forcing A c2 <= 0.  ``basket`` is the
+    basket's text, which a basket too large to build has too."""
+
+
+def overweight(text: str, load: Fraction) -> BasketBoundError:
+    """The error for the basket written ``text`` of load ``load``."""
+    exc = BasketBoundError(f"basket load {load} reaches 24 (A c2 would be <= 0)")
+    exc.basket = text
+    return exc
 
 
 class _TypeFields(NamedTuple):
@@ -122,8 +140,9 @@ class Basket(tuple):
     """A multiset of singularity types: the tuple of its entries, sorted.
 
     The constructor does not police the load bound: consumers that need
-    it (the Riemann-Roch layer) raise on overweight baskets, and the
-    enumerator only ever produces admissible ones.
+    it (the Riemann-Roch layer) raise on overweight baskets, the parser
+    refuses more than MAX_POINTS points, and the enumerator only ever
+    produces admissible ones.
     """
 
     __slots__ = ()
@@ -148,17 +167,12 @@ class Basket(tuple):
         return sum(s.rank for s in self)
 
     def __str__(self) -> str:
-        out = []
-        i = 0
-        while i < len(self):
-            s = self[i]
-            j = i
-            while j < len(self) and self[j] == s:
-                j += 1
-            mult = j - i
-            out.append(f"{mult}x{s}" if mult > 1 else str(s))
-            i = j
-        return ",".join(out)
+        return _text((s, sum(1 for _ in run)) for s, run in groupby(self))
+
+
+def _text(runs: Iterable[tuple[SingularityType, int]]) -> str:
+    """The basket text of (type, multiplicity) runs in canonical order."""
+    return ",".join(f"{n}x{s}" if n > 1 else str(s) for s, n in runs)
 
 
 _ENTRY_RE = re.compile(r"^(?:(\d+)x)?(\d+)/(\d+)$")
@@ -168,12 +182,16 @@ def parse_basket(text: str) -> Basket:
     """Parse the ``[mult x] r/a`` comma syntax; whitespace is ignored.
 
     The empty string is the empty basket.  Non-canonical pairs are
-    rejected with a hint giving the canonical form.
+    rejected with a hint giving the canonical form.  Text of more than
+    MAX_POINTS points raises :class:`BasketBoundError` once every entry
+    has parsed, from the multiplicities alone: the basket is never built.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
         return Basket()
     entries: list[SingularityType] = []
+    runs: list[tuple[SingularityType, int]] = []
+    points = 0
     for token in compact.split(","):
         m = _ENTRY_RE.match(token)
         if not m:
@@ -193,8 +211,22 @@ def parse_basket(text: str) -> Basket:
                 f"entry {token!r} is not in canonical form; use "
                 f"{canonical.r}/{canonical.a}"
             )
-        entries.extend([canonical] * mult)
-    return Basket(tuple(entries))
+        runs.append((canonical, mult))
+        points += mult
+        if points <= MAX_POINTS:  # past it only the count goes on
+            entries.extend([canonical] * mult)
+    if points > MAX_POINTS:
+        raise _too_many(runs)
+    return Basket(entries)
+
+
+def _too_many(runs: list[tuple[SingularityType, int]]) -> BasketBoundError:
+    """The load error of parsed runs, written as the basket would be."""
+    counts: dict[SingularityType, int] = {}
+    for s, n in runs:
+        counts[s] = counts.get(s, 0) + n
+    merged = sorted(counts.items())
+    return overweight(_text(merged), sum(s.cost * n for s, n in merged))
 
 
 @cache

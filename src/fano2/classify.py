@@ -7,10 +7,12 @@ strictly positive and at most (48/5)(Ac2/12), the genera of
 imposed anywhere; it emerges from the filters and is asserted by the
 test suite.
 
-A candidate computes its Hilbert series on first read, to the degree the
-reader asks rounded up to a power of two (:meth:`Candidate.read`), so a
-caller that prints three coefficients, or a greedy pass that stops at its
-first relation, builds little more of the series than it reads.
+A candidate computes its Hilbert series on first read, to exactly the
+degree its first reader asks, and past that to DEFAULT_CUTOFF at least
+(:meth:`Candidate.read`).  So a caller that prints three coefficients, or
+a greedy pass whose first relation lies in its first prefix, builds no
+more of the series than it reads.  The rule reads no cutoff: the cutoff
+says only how far records print.
 
 Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
@@ -67,6 +69,8 @@ class Candidate:
     The Hilbert series is computed on first read: :meth:`read` returns it
     to any degree and keeps the deepest series computed so far, and
     ``series`` is the series to ``cutoff``, the degree records report.
+    Nothing else reads the cutoff: the same reads compute the same series
+    whatever cutoff the candidate was built with.
     A candidate is read-only.  It compares and hashes by its fields; the
     kept series is left out, since it is a function of basket and genus.
     """
@@ -126,18 +130,17 @@ class Candidate:
     def read(self, h: int) -> Series:
         """The series to degree h, sliced from the series held.
 
-        Past its end one :func:`hilbert_series` call computes it again:
-        within the cutoff to h rounded up to a power of two, so the
-        per-type tables behind it are built for few depths, and past the
-        cutoff to DEFAULT_CUTOFF at least, so a candidate built with a
-        shallow cutoff is computed again once for its model.
+        A candidate that holds no series computes exactly degree h, so a
+        first read to degree 2, or to a first greedy prefix, costs no
+        more than it reads.  Past the series held one
+        :func:`hilbert_series` call computes it again, to
+        max(h, DEFAULT_CUTOFF), so a candidate read shallow first is
+        computed again once for its model, unless that model reads past
+        DEFAULT_CUTOFF.  The cutoff is not read.
         """
         held = self._held
         if h >= len(held):
-            if h <= self.cutoff:
-                depth = min(1 << (h - 1).bit_length(), self.cutoff)
-            else:
-                depth = max(h, DEFAULT_CUTOFF)
+            depth = max(h, DEFAULT_CUTOFF) if held else h
             held = hilbert_series(self.basket, self.genus, depth)
             object.__setattr__(self, "_held", held)
         return held[: h + 1]

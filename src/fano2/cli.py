@@ -11,12 +11,13 @@ histogram        per-genus statistics, or codimension estimates next to
 k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
 ``--cutoff`` sets the degree the series are cut at when they are printed,
-serialised or counted as distinct.  A candidate computes its series on
-first read, as deep as its reader asks, rounded up to a power of two
-within the cutoff: the ``enumerate`` text lines read
-three coefficients, ``k3-obstructions`` text lines none, and records the
-series to the cutoff.  Graded models (``inspect``, ``histogram --by
-codim``) read the basket's series as deep as they need, so they are the
+serialised or counted as distinct, and nothing else.  A candidate
+computes its series on first read, to exactly the degree its first
+reader asks, and past that to degree 60 at least: the ``enumerate`` text
+lines read three coefficients, ``k3-obstructions`` text lines none, and
+records the series to the cutoff.  Graded models (``inspect``,
+``histogram --by codim``) read the basket's series as deep as they need,
+and the degrees they read do not depend on the cutoff, so they are the
 same at every cutoff.  A model builds its numerator and shape on first
 read: ``inspect`` reads both, while ``histogram --by codim`` reads only
 codimensions, so each of its greedy passes computes the series only to
@@ -47,7 +48,7 @@ from functools import cache
 from io import StringIO
 from pathlib import Path
 
-from .basket import BasketParseError, parse_basket
+from .basket import BasketBoundError, BasketParseError, parse_basket
 from .classify import (
     Candidate,
     candidate,
@@ -61,7 +62,6 @@ from .classify import (
 )
 from .graded_rings import REFERENCE_CODIM_COUNTS, corrected_inference
 from .riemann_roch import (
-    BasketBoundError,
     NonpositiveDegreeError,
     PolarisationResidualError,
 )
@@ -193,19 +193,25 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    overweight = None
     try:
         basket = parse_basket(args.basket)
     except BasketParseError as exc:
         print(f"error: cannot parse basket: {exc}", file=sys.stderr)
         return 2
+    except BasketBoundError as exc:  # too many points to build; the genus
+        overweight = exc             # is checked first all the same
     if args.genus < -2:
         print(f"error: genus below -2 (got {args.genus}); "
               "no candidate has fewer than 0 sections of A", file=sys.stderr)
         return 2
     try:
+        if overweight is not None:
+            raise overweight
         c = candidate(basket, args.genus, args.cutoff)
     except BasketBoundError as exc:
-        print(f"error: inadmissible basket [{basket}]: {exc}", file=sys.stderr)
+        print(f"error: inadmissible basket [{exc.basket}]: {exc}",
+              file=sys.stderr)
         return 1
     except PolarisationResidualError:
         print(f"error: inadmissible basket [{basket}]: polarisation "

@@ -19,19 +19,19 @@ relation lies past g read a zero there, and rerun with the seeds it
 would read the same below the lowest gap g0, then -(seeds at g0) < 0.
 
 The pass stops at its first relation, so it reads only a prefix of the
-series: from degree FIRST_PREFIX, doubling while it runs out, with its
-product extended to each longer prefix.  The doubling ends: with no
-relation the series would be 1/prod(1 - t^w), which by Gorenstein
-symmetry forces sum(w) = 2 with four weights, and with five or more
-outgrows the cubic growth of h^0(nA).  The pass reads through
-:meth:`~fano2.classify.Candidate.read`, so a candidate whose series
-nobody has read computes only the prefixes the pass asks for: for
-``histogram --by codim``, 13,404 coefficients over its 1319 models in
-place of 61 for each of the 1492 candidates.
+series: to degree FIRST_PREFIX, then to DEFAULT_CUTOFF, doubling from
+there while it runs out, with its product extended to each longer
+prefix.  The prefixes end: with no relation the series would be
+1/prod(1 - t^w), which by Gorenstein symmetry forces sum(w) = 2 with
+four weights, and with five or more outgrows the cubic growth of
+h^0(nA).  The pass reads through :meth:`~fano2.classify.Candidate.read`,
+so a candidate whose series nobody has read computes only the prefixes
+the pass asks for.
 
-A model is a function of its candidate alone, whatever cutoff the
-candidate was built with, and its numerator is the exact Gorenstein
-polynomial of degree sum(weights) - 2 (Altinok-Brown-Reid), read by
+A model is a function of its candidate's basket and genus alone, and so
+are the degrees it reads: neither the pass nor the numerator reads the
+candidate's cutoff.  Its numerator is the exact Gorenstein polynomial of
+degree sum(weights) - 2 (Altinok-Brown-Reid), read by
 :func:`~fano2.series.numerator_wrt_weights`.  The numerator and the shape
 are built on first read and then kept, so a caller that reads only
 weights and codimensions, as ``histogram --by codim`` and
@@ -92,10 +92,12 @@ class GradedModel:
     The numerator and the shape are built on first read, through ``read``,
     the candidate's :meth:`~fano2.classify.Candidate.read` that the greedy
     pass used, and then kept, so ``histogram --by codim``, which reads
-    only codimensions, builds neither.  A model is read-only.  It
-    compares and hashes by (basket, genus, weights, seeded): the numerator
-    and shape are functions of the first three, so equal models have
-    equal ones.
+    only codimensions, builds neither.  The numerator reads the series to
+    half its Gorenstein degree: the series the pass left held, or, past
+    it, one to DEFAULT_CUTOFF at least, whatever the candidate's cutoff.
+    A model is read-only.  It compares and hashes by (basket, genus,
+    weights, seeded): the numerator and shape are functions of the first
+    three, so equal models have equal ones.
     """
 
     def __init__(
@@ -224,26 +226,26 @@ def _required_residues(r: int, a: int) -> tuple[int, ...]:
     return tuple(sorted({0, a % r, (r - a) % r, 2 % r}))
 
 
-#: Degree of the first prefix a greedy pass reads; it doubles while the
-#: pass runs out of series.  The first relation of an enumerated
-#: candidate sits at degree 8 or below for 1385 of the 1492, and at 38
-#: at most.
+#: Degree of the first prefix a greedy pass reads; the next one reads to
+#: DEFAULT_CUTOFF.  Most enumerated candidates meet their first relation
+#: within the first prefix, and every one within the second.
 FIRST_PREFIX = 8
 
 
 def _prefixes(c: Candidate) -> Iterator[Series]:
-    """Prefixes of the candidate's series, doubling from FIRST_PREFIX.
+    """Prefixes of the candidate's series: to FIRST_PREFIX, and after a
+    prefix to h, to max(2h, DEFAULT_CUTOFF): 8, 60, 120, ...
 
-    A doubling that would pass the cutoff, or DEFAULT_CUTOFF when that is
-    deeper, stops there first: a candidate read to its cutoff, as
-    ``inspect`` reads it, and one computed past a shallower cutoff, which
-    :meth:`~fano2.classify.Candidate.read` computes to DEFAULT_CUTOFF, are
-    computed again only when their first relation lies deeper."""
-    cap = max(c.cutoff, DEFAULT_CUTOFF)
+    The jump to DEFAULT_CUTOFF is what
+    :meth:`~fano2.classify.Candidate.read` computes past a series it
+    holds, so a candidate read shallow first, as text lines read it, is
+    computed again once, and one read to DEFAULT_CUTOFF or deeper, as
+    ``inspect`` reads it, only when its first relation lies deeper.  No
+    cutoff is read."""
     h = FIRST_PREFIX
     while True:
         yield c.read(h)
-        h = cap if h < cap < 2 * h else 2 * h
+        h = max(2 * h, DEFAULT_CUTOFF)
 
 
 def corrected_inference(c: Candidate) -> GradedModel:
@@ -257,12 +259,14 @@ def corrected_inference(c: Candidate) -> GradedModel:
 
     The pass and the model's numerator, built on its first read, read the
     series through :meth:`~fano2.classify.Candidate.read`, which computes
-    it only past the deepest degree computed so far.  The pass's prefix
-    doubles from FIRST_PREFIX and stops first at the cutoff (see
-    :func:`_prefixes`), so on a candidate nobody has read, built with the
-    default cutoff, it computes the series to 8, 16, 32 or 60, the first
-    of them at or past its first relation, and the numerator, to half the
-    Gorenstein degree, reads that series or one to the next of them.
+    it only past the deepest degree computed so far.  The pass reads
+    prefixes to FIRST_PREFIX and then to DEFAULT_CUTOFF (see
+    :func:`_prefixes`), so on a candidate nobody has read it computes the
+    series to 8, and to 60 only when its first relation lies past 8; the
+    numerator, to half the Gorenstein degree, reads the series held or
+    computes it to DEFAULT_CUTOFF at least.  None of this reads the
+    candidate's cutoff, so the model of a candidate nobody has read
+    computes the same series at every cutoff.
     """
     found, pass_numerator = _greedy(_prefixes(c), ())  # they never end
     organic = list(found)

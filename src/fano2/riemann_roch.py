@@ -48,7 +48,8 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from .basket import Basket, SingularityType
+from .basket import Basket, SingularityType, overweight
+from .basket import BasketBoundError  # noqa: F401  raised here, as before
 from .series import (
     DEFAULT_CUTOFF,
     NonIntegerSeriesError,
@@ -68,10 +69,6 @@ STABLE_DEGREE_CAP = 9
 STABLE = "stable"
 UNSTABLE = "unstable"
 REJECTED = "rejected"
-
-
-class BasketBoundError(ValueError):
-    """Basket load reaches 24, forcing -K c2 <= 0."""
 
 
 class NonpositiveDegreeError(ValueError):
@@ -96,12 +93,6 @@ def periodic_term(s: SingularityType, n: int) -> Fraction:
     return term
 
 
-def _overweight(basket: Basket) -> BasketBoundError:
-    return BasketBoundError(
-        f"basket load {basket.cost} reaches 24 (A c2 would be <= 0)"
-    )
-
-
 @cache
 def acz12_from_basket(basket: Basket) -> Fraction:
     """A c2(X) / 12 = 1 - load / 24; raises when not positive.
@@ -112,7 +103,7 @@ def acz12_from_basket(basket: Basket) -> Fraction:
     """
     value = 1 - basket.cost / 24
     if value <= 0:
-        raise _overweight(basket)
+        raise overweight(str(basket), basket.cost)
     return value
 
 
@@ -328,7 +319,7 @@ def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
         per_minus += m * minus
     acz12_d = d - load
     if acz12_d <= 0:
-        raise _overweight(basket)
+        raise overweight(str(basket), basket.cost)
     if d + per_minus - acz12_d != 0:
         # A nonzero residual would be major news: fail loudly rather
         # than silently dropping the basket.

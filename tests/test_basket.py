@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fano2.basket import (
+    MAX_POINTS,
     Basket,
+    BasketBoundError,
     BasketParseError,
     EvenIndexError,
     NotCoprimeError,
@@ -22,7 +24,7 @@ from fano2.basket import (
     parse_basket,
     singularity_universe,
 )
-from fano2.riemann_roch import periodic_term
+from fano2.riemann_roch import periodic_term, scaled_invariants
 
 #: Number of admissible baskets, frozen after the first verified run.
 GOLDEN_BASKET_COUNT = 1032
@@ -295,6 +297,44 @@ class TestTextSyntax:
     def test_round_trip(self):
         for text in ("", "3/1", "2x3/1,5/2", "8x3/1", "3/1,5/1,11/3"):
             assert str(parse_basket(text)) == text
+
+    def test_max_points_is_what_the_bound_allows(self):
+        cheapest = min(s.cost for s in singularity_universe())
+        assert MAX_POINTS * cheapest < 24 <= (MAX_POINTS + 1) * cheapest
+        assert max(len(b) for b in enumerate_baskets()) == MAX_POINTS
+
+    @pytest.mark.parametrize(
+        "text", ["9x3/1", "3/1,5x3/1,3x3/1", "2x5/2,3/1,6x3/1", "4x7/3,5x23/11"])
+    def test_too_many_points_raise_the_load_error(self, text):
+        # the parser's error is the one the Riemann-Roch layer raises for
+        # the same basket built point by point
+        with pytest.raises(BasketBoundError) as parsed:
+            parse_basket(text)
+        points = []
+        for token in text.split(","):
+            mult, _, pair = token.rpartition("x")
+            r, a = map(int, pair.split("/"))
+            points += [SingularityType(r, a)] * int(mult or 1)
+        built = Basket(points)
+        with pytest.raises(BasketBoundError) as layer:
+            scaled_invariants(built)
+        assert parsed.value.basket == layer.value.basket == str(built)
+        assert str(parsed.value) == str(layer.value)
+
+    def test_huge_multiplicity_is_never_expanded(self):
+        # a list of 10^12 points would take 8 TB
+        with pytest.raises(BasketBoundError) as exc:
+            parse_basket(f"{10**12}x3/1, 5/2")
+        assert exc.value.basket == f"{10**12}x3/1,5/2"
+        assert str(exc.value) == (
+            f"basket load {Fraction(8, 3) * 10**12 + Fraction(24, 5)} "
+            "reaches 24 (A c2 would be <= 0)")
+
+    def test_parse_errors_come_before_the_point_count(self):
+        with pytest.raises(BasketParseError):
+            parse_basket(f"{10**12}x3/1,3-1")
+        with pytest.raises(BasketParseError):
+            parse_basket(f"{10**12}x3/1,5/4")
 
     def test_round_trip_over_enumeration_sample(self):
         baskets = enumerate_baskets()

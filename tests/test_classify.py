@@ -113,8 +113,8 @@ class TestCandidateInvariants:
     def test_constructor_errors(self):
         with pytest.raises(NonpositiveDegreeError):
             candidate(Basket(), -2)
-        with pytest.raises(BasketBoundError):
-            candidate(parse_basket("9x3/1"), 0)
+        with pytest.raises(BasketBoundError):  # not through the parser
+            candidate(Basket([SingularityType(3, 1)] * 9), 0)
         # records report h0(2A), so the series must reach degree 2
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
             candidate(Basket(), 3, cutoff=1)
@@ -183,17 +183,18 @@ class TestSeriesOnRead:
         assert [h for *_, h in series_reads] == [2, 60]
 
     def test_reads_compute_to_few_depths(self, series_reads):
-        # within the cutoff a power of two, or the cutoff; past it the
-        # default cutoff at least, so a shallow candidate is computed
-        # again once for its model
+        # the first read computes the degree asked, whatever the cutoff;
+        # a read past the series held computes the default cutoff at
+        # least, so a candidate read shallow is computed again once for
+        # its model
         c = candidate(parse_basket("3/1"), 2)
         for h in (3, 19, 40, 61, 100):
             c.read(h)
-        assert [h for *_, h in series_reads] == [4, 32, 60, 61, 100]
+        assert [h for *_, h in series_reads] == [3, 60, 61, 100]
         del series_reads[:]
         c = candidate(parse_basket("3/1"), 2, cutoff=2)
         assert c.read(8) == hilbert_series(c.basket, 2, 8)
-        assert [h for *_, h in series_reads] == [60]
+        assert [h for *_, h in series_reads] == [8]
 
     def test_record_reads_the_series_once(self, series_reads):
         c = candidate(parse_basket("3/1"), 2, cutoff=16)

@@ -211,6 +211,21 @@ class TestInspect:
         assert err.startswith("error: inadmissible basket [9x3/1]")
         assert len(err.splitlines()) == 1
 
+    def test_huge_multiplicity_exit_1_at_once(self, capsys):
+        # the basket is refused from its point count, never built
+        code, out, err = run(capsys, "inspect", "--basket",
+                             f"{10**12}x3/1", "--genus", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: inadmissible basket [{10**12}x3/1]: basket load "
+            "8000000000000/3 reaches 24 (A c2 would be <= 0)\n")
+
+    def test_genus_is_checked_before_the_point_count(self, capsys):
+        code, out, err = run(capsys, "inspect", "--basket", "10x3/1",
+                             "--genus", "-3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: genus below -2 (got -3)")
+
     def test_small_cutoff_gives_the_default_model(self, capsys):
         cases = [
             ("9/1", "1", "3", "1, 3, 8, 17"),
@@ -363,8 +378,8 @@ class TestSeriesReads:
         self, capsys, series_reads
     ):
         # A greedy pass stops at its first relation, so it computes the
-        # series to FIRST_PREFIX, doubling, and stopping first at the
-        # cutoff 60, until a prefix holds that relation, and a
+        # series to FIRST_PREFIX and, when that prefix runs out, to the
+        # default cutoff 60, which holds it for every candidate, and a
         # K3-obstructed candidate computes none.
         run(capsys, "histogram", "--by", "codim")
         depths = {}
@@ -376,11 +391,11 @@ class TestSeriesReads:
             _, numerator = infer_generators(
                 riemann_roch.hilbert_series(basket, genus, 200))
             stop = next(d for d, k in enumerate(numerator) if k < 0)
-            assert hs == [FIRST_PREFIX, 16, 32, 60][: len(hs)]
+            assert hs == [FIRST_PREFIX, 60][: len(hs)]
             assert stop <= hs[-1]
             assert len(hs) == 1 or stop > hs[-2]
-        assert len(series_reads) == 1400
-        assert sum(h + 1 for *_, h in series_reads) == 13404
+        assert len(series_reads) == 1392
+        assert sum(h + 1 for *_, h in series_reads) == 16324
 
     def test_k3_obstructions_reads_no_series(self, capsys, series_reads):
         run(capsys, "k3-obstructions")

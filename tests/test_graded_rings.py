@@ -215,32 +215,34 @@ class TestPrefixPasses:
         self, monkeypatch, series_reads
     ):
         # X38 in P(2,3,5,11,19) meets its first relation at degree 38: on
-        # a candidate nobody has read, the prefixes to 8, 16 and 32 run
-        # out, the doubling stops first at the cutoff 60, that prefix holds
-        # it, and each is computed once; the numerator, to half of 38,
-        # reads the series held.
+        # a candidate nobody has read, the prefix to 8 runs out, the next
+        # one goes to the default cutoff 60 and holds it, and each is
+        # computed once; the numerator, to half of 38, reads the series
+        # held.
         lengths = self.prefix_lengths(monkeypatch)
         model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert model.numerator == (1,) + (0,) * 37 + (-1,)
-        assert lengths == [9, 17, 33, 61]
-        assert [h for *_, h in series_reads] == [8, 16, 32, 60]
+        assert lengths == [9, 61]
+        assert [h for *_, h in series_reads] == [8, 60]
         assert model.weights == (2, 3, 5, 11, 19)
 
     @pytest.mark.parametrize(
         "cutoff, first_read, depths",
-        [(60, True, [60]), (2, False, [60]), (2, True, [2, 60])])
+        [(60, True, [60]), (2, False, [8, 60]), (2, True, [2, 60])])
     def test_doubling_stops_first_at_the_default_cutoff(
         self, monkeypatch, series_reads, cutoff, first_read, depths
     ):
         # read to its cutoff 60 first, as `inspect` reads it, X38 computes
-        # no series past it; built with cutoff 2, its first prefix lies past
-        # the cutoff and is computed to 60, which then serves every read
+        # no series past it; unread, it computes the first prefix exactly
+        # and then the default cutoff; read to its cutoff 2 first, its
+        # first prefix lies past the series held and is computed to 60,
+        # which then serves every read.  The cutoff itself is never read.
         c = candidate(parse_basket("3/1,5/1,11/3"), -2, cutoff)
         if first_read:
             c.series
         lengths = self.prefix_lengths(monkeypatch)
         corrected_inference(c).numerator
-        assert lengths == [9, 17, 33, 61]
+        assert lengths == [9, 61]
         assert [h for *_, h in series_reads] == depths
 
     def test_longer_prefix_extends_the_product(self, monkeypatch):
@@ -254,10 +256,7 @@ class TestPrefixPasses:
 
         monkeypatch.setattr(graded_rings, "series_times_weights", recording)
         corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
-        assert products == [
-            (9, ()), (17, (2, 3, 5)), (33, (2, 3, 5, 11)),
-            (61, (2, 3, 5, 11, 19)),
-        ]
+        assert products == [(9, ()), (61, (2, 3, 5))]
 
     @pytest.mark.parametrize("cutoff", [2, 60, 200])
     def test_one_greedy_pass_per_model(self, cutoff, monkeypatch):
@@ -303,6 +302,26 @@ class TestPrefixPasses:
             assert series_reads == []
         else:
             assert len(series_reads) <= 1492 + 13
+
+    def test_a_model_computes_the_same_depths_at_every_cutoff(
+        self, candidates, series_reads
+    ):
+        # neither the reader nor the prefixes read the cutoff, so a model
+        # of a candidate built fresh computes its series to the same
+        # depths, in the same order, whatever cutoff the candidate has
+        by_cutoff = {}
+        for cutoff in (2, 16, 60, 200):
+            del series_reads[:]
+            for c in candidates:
+                m = corrected_inference(candidate(c.basket, c.genus, cutoff))
+                m.numerator, m.shape
+            depths = {}
+            for basket, genus, h in series_reads:
+                depths.setdefault((basket, genus), []).append(h)
+            assert len(depths) == 1492
+            by_cutoff[cutoff] = depths
+        for cutoff in (16, 60, 200):
+            assert by_cutoff[cutoff] == by_cutoff[2], cutoff
 
 
 class TestLazyModel:

@@ -114,9 +114,10 @@ class TestScaledInvariants:
         assert scaled_invariants(TRIPLE) == (3960, 928, 24)
 
     def test_overweight_basket_raises_and_is_not_cached(self):
+        # built without the parser, which refuses nine points itself
         before = scaled_invariants.cache_info().currsize
         with pytest.raises(BasketBoundError):
-            scaled_invariants(parse_basket("9x3/1"))
+            scaled_invariants(Basket([SingularityType(3, 1)] * 9))
         assert scaled_invariants.cache_info().currsize == before
 
     def test_nonzero_residual_raises(self, fresh_invariants, monkeypatch):
