@@ -18,6 +18,7 @@ MAX_POINTS points before building it, whatever its multiplicities.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 from itertools import count, groupby, takewhile
@@ -59,9 +60,23 @@ class BasketBoundError(ValueError):
 
 def overweight(text: str, load: Fraction) -> BasketBoundError:
     """The error for the basket written ``text`` of load ``load``."""
-    exc = BasketBoundError(f"basket load {load} reaches 24 (A c2 would be <= 0)")
+    p, q = load.numerator, load.denominator
+    shown = _decimal(p) if q == 1 else f"{_decimal(p)}/{_decimal(q)}"
+    exc = BasketBoundError(f"basket load {shown} reaches 24 (A c2 would be <= 0)")
     exc.basket = text
     return exc
+
+
+def _decimal(n: int) -> str:
+    """str(n) for n >= 0, also past the digits str() writes at most
+    (sys.get_int_max_str_digits()), which the load or the point count of
+    parsed numbers can pass."""
+    try:
+        return str(n)
+    except ValueError:
+        step = sys.get_int_max_str_digits()
+        high, low = divmod(n, 10**step)
+        return _decimal(high) + str(low).zfill(step)
 
 
 class _TypeFields(NamedTuple):
@@ -99,12 +114,6 @@ class SingularityType(_TypeFields):
     def cost(self) -> Fraction:
         """Load (r^2 - 1)/r contributed to the basket bound."""
         return Fraction(self.r * self.r - 1, self.r)
-
-    @property
-    def rank(self) -> int:
-        """Exceptional curves in the resolution of the transverse surface
-        singularity 1/r(a, -a): an A_{r-1} chain, so r - 1."""
-        return self.r - 1
 
     @property
     def b(self) -> int:
@@ -150,10 +159,6 @@ class Basket(tuple):
     def __new__(cls, entries: Iterable[SingularityType] = ()):
         return super().__new__(cls, sorted(entries))
 
-    @property
-    def entries(self) -> tuple[SingularityType, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"Basket(entries={tuple(self)!r})"
 
@@ -163,8 +168,10 @@ class Basket(tuple):
 
     @property
     def singular_rank(self) -> int:
-        """Sum of r - 1 over the basket; at least 20 rules out a K3 elephant."""
-        return sum(s.rank for s in self)
+        """Exceptional curves over the basket: the transverse surface
+        singularity 1/r(a, -a) of a point resolves to an A_{r-1} chain of
+        r - 1 curves.  At least 20 rules out a K3 elephant."""
+        return sum(s.r - 1 for s in self)
 
     def __str__(self) -> str:
         return _text((s, sum(1 for _ in run)) for s, run in groupby(self))
@@ -172,7 +179,7 @@ class Basket(tuple):
 
 def _text(runs: Iterable[tuple[SingularityType, int]]) -> str:
     """The basket text of (type, multiplicity) runs in canonical order."""
-    return ",".join(f"{n}x{s}" if n > 1 else str(s) for s, n in runs)
+    return ",".join(f"{_decimal(n)}x{s}" if n > 1 else str(s) for s, n in runs)
 
 
 _ENTRY_RE = re.compile(r"^(?:(\d+)x)?(\d+)/(\d+)$")
@@ -182,9 +189,11 @@ def parse_basket(text: str) -> Basket:
     """Parse the ``[mult x] r/a`` comma syntax; whitespace is ignored.
 
     The empty string is the empty basket.  Non-canonical pairs are
-    rejected with a hint giving the canonical form.  Text of more than
-    MAX_POINTS points raises :class:`BasketBoundError` once every entry
-    has parsed, from the multiplicities alone: the basket is never built.
+    rejected with a hint giving the canonical form, and a number longer
+    than int() reads (sys.get_int_max_str_digits()) is a parse error.
+    Text of more than MAX_POINTS points raises :class:`BasketBoundError`
+    once every entry has parsed, from the multiplicities alone: the
+    basket is never built.
     """
     compact = re.sub(r"\s+", "", text)
     if not compact:
@@ -198,10 +207,15 @@ def parse_basket(text: str) -> Basket:
             raise BasketParseError(
                 f"cannot parse basket entry {token!r}; expected r/a or NxR/A"
             )
-        mult = int(m.group(1)) if m.group(1) else 1
+        try:
+            mult, r, a = int(m[1] or 1), int(m[2]), int(m[3])
+        except ValueError:  # past the digits int() reads at most
+            raise BasketParseError(
+                f"basket entry {token!r} has a number of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
         if mult < 1:
             raise BasketParseError(f"multiplicity must be >= 1 in {token!r}")
-        r, a = int(m.group(2)), int(m.group(3))
         try:
             canonical = normalize(r, a)
         except InvalidSingularityError as exc:

@@ -16,8 +16,10 @@ says only how far records print.
 
 Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
-Records are output only: they are never read back, and :func:`candidate`
-is the one way to build a candidate.
+Records are output only: they are never read back.  A candidate is its
+identity (basket, genus, cutoff): ``Candidate(basket, genus, cutoff)``,
+also named ``candidate``, derives everything else from it, and a copy or
+an unpickled candidate is built by it again.
 """
 
 from __future__ import annotations
@@ -58,48 +60,53 @@ RECORD_FIELDS = (
 
 
 class Candidate:
-    """One admissible (basket, genus) pair with its derived data.
+    """The candidate of one (basket, genus) pair, A^3 = base + genus + 2.
+
+    A candidate is its identity (basket, genus, cutoff); the constructor
+    derives and checks every other field.  A cutoff below 2 raises
+    ValueError, since records report h^0(2A).  An inadmissible basket or
+    A^3 <= 0 raises :class:`BasketBoundError`,
+    :class:`PolarisationResidualError` or :class:`NonpositiveDegreeError`
+    through :func:`scaled_degree`, as :func:`hilbert_series` does, but no
+    series is built.  The degree cap is not applied.
 
     ``status`` is the :func:`~fano2.riemann_roch.kawamata_status` of the
-    degree: stable, unstable, or rejected past the degree cap.  A^3 and
-    Ac2/12 are kept as integers over the basket's common denominator
-    ``scale`` (see :func:`~fano2.riemann_roch.scaled_invariants`);
-    ``a3`` and ``acz12`` build their Fractions on read, for output.
+    degree: stable, unstable, or rejected past the degree cap, and
+    ``stable`` is False for a rejected pair as for an unstable one.  A^3
+    and Ac2/12 are kept as integers over the basket's common denominator
+    ``scale`` (see :func:`~fano2.riemann_roch.scaled_invariants`); ``a3``
+    and ``acz12`` build their Fractions on read, for output.
 
     The Hilbert series is computed on first read: :meth:`read` returns it
     to any degree and keeps the deepest series computed so far, and
     ``series`` is the series to ``cutoff``, the degree records report.
     Nothing else reads the cutoff: the same reads compute the same series
     whatever cutoff the candidate was built with.
-    A candidate is read-only.  It compares and hashes by its fields; the
-    kept series is left out, since it is a function of basket and genus.
+    A candidate is read-only.  It compares, hashes, pickles and prints by
+    its identity alone, so a copy derives and checks its fields again.
     """
 
     __slots__ = (
-        "basket", "genus", "scale", "a3_scaled", "acz12_scaled", "status",
-        "cutoff", "k3_obstructed", "_held",
+        "basket", "genus", "cutoff", "scale", "a3_scaled", "acz12_scaled",
+        "status", "k3_obstructed", "_held",
     )
 
     def __init__(
-        self,
-        basket: Basket,
-        genus: int,
-        scale: int,
-        a3_scaled: int,
-        acz12_scaled: int,
-        status: str,
-        cutoff: int,
-        k3_obstructed: bool,
+        self, basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
     ) -> None:
+        if cutoff < 2:
+            raise ValueError(
+                "candidate records report h0(2A); cutoff must be >= 2")
+        d, acz12_d, a3_d = scaled_degree(basket, genus)
         put = object.__setattr__
         put(self, "basket", basket)
         put(self, "genus", genus)
-        put(self, "scale", scale)
-        put(self, "a3_scaled", a3_scaled)
-        put(self, "acz12_scaled", acz12_scaled)
-        put(self, "status", status)
         put(self, "cutoff", cutoff)
-        put(self, "k3_obstructed", k3_obstructed)
+        put(self, "scale", d)
+        put(self, "a3_scaled", a3_d)
+        put(self, "acz12_scaled", acz12_d)
+        put(self, "status", kawamata_status(a3_d, acz12_d))
+        put(self, "k3_obstructed", basket.singular_rank >= K3_RANK_BOUND)
         put(self, "_held", ())  # set only by read
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -108,9 +115,7 @@ class Candidate:
     __delattr__ = __setattr__
 
     def _fields(self) -> tuple:
-        return (self.basket, self.genus, self.scale, self.a3_scaled,
-                self.acz12_scaled, self.status, self.cutoff,
-                self.k3_obstructed)
+        return self.basket, self.genus, self.cutoff
 
     def __eq__(self, other):
         if other.__class__ is not Candidate:
@@ -124,8 +129,8 @@ class Candidate:
         return Candidate, self._fields()
 
     def __repr__(self) -> str:
-        fields = zip(self.__slots__, self._fields())
-        return f"Candidate({', '.join(f'{k}={v!r}' for k, v in fields)})"
+        return (f"Candidate(basket={self.basket!r}, genus={self.genus!r}, "
+                f"cutoff={self.cutoff!r})")
 
     def read(self, h: int) -> Series:
         """The series to degree h, sliced from the series held.
@@ -167,30 +172,8 @@ def anticanonical_sections(c: Candidate) -> int:
     return c.read(2)[2]
 
 
-def candidate(
-    basket: Basket, genus: int, cutoff: int = DEFAULT_CUTOFF
-) -> Candidate:
-    """The candidate data of one (basket, genus) pair, A^3 = base + genus + 2.
-
-    The degree cap is not applied: a pair past it has status
-    ``rejected``, and ``stable`` is False for it as for an unstable one.
-    Raises :class:`BasketBoundError`, :class:`PolarisationResidualError`
-    or :class:`NonpositiveDegreeError` through :func:`scaled_degree`, as
-    :func:`hilbert_series` does, but builds no series.
-    """
-    if cutoff < 2:
-        raise ValueError("candidate records report h0(2A); cutoff must be >= 2")
-    d, acz12_d, a3_d = scaled_degree(basket, genus)
-    return Candidate(
-        basket=basket,
-        genus=genus,
-        scale=d,
-        a3_scaled=a3_d,
-        acz12_scaled=acz12_d,
-        status=kawamata_status(a3_d, acz12_d),
-        cutoff=cutoff,
-        k3_obstructed=basket.singular_rank >= K3_RANK_BOUND,
-    )
+#: The constructor, under the name its callers have always used.
+candidate = Candidate
 
 
 @lru_cache(maxsize=4)

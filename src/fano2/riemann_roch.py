@@ -115,8 +115,8 @@ def polarisation_residual(basket: Basket) -> Fraction:
     :func:`scaled_invariants` enforces it in integers rather than assume
     it, and this Fraction form is its oracle.
     """
-    total = 1 + sum((periodic_term(s, -1) for s in basket), Fraction(0))
-    return total - acz12_from_basket(basket)
+    acz12 = acz12_from_basket(basket)  # first: it refuses a large index
+    return 1 + sum((periodic_term(s, -1) for s in basket), Fraction(0)) - acz12
 
 
 def base_degree(basket: Basket) -> Fraction:
@@ -307,19 +307,19 @@ def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
     :func:`base_degree` compute the same numbers on Fraction, as the
     test suite's oracle.  Raises :class:`BasketBoundError` for an
     overweight basket and :class:`PolarisationResidualError` for a
-    nonzero residual, so only admissible baskets are cached.
+    nonzero residual, so only admissible baskets are cached.  The load is
+    checked first, from r^2 - 1 alone, since a periodic term costs O(r).
     """
     d = 24 * lcm(*(s.r for s in basket))
-    load = per_plus = per_minus = 0
-    for s in basket:
-        m = d // (24 * s.r)
-        cost, plus, minus = _type_constants(s)
-        load += m * cost
-        per_plus += m * plus
-        per_minus += m * minus
-    acz12_d = d - load
+    acz12_d = d - sum(d // (24 * s.r) * (s.r * s.r - 1) for s in basket)
     if acz12_d <= 0:
         raise overweight(str(basket), basket.cost)
+    per_plus = per_minus = 0
+    for s in basket:
+        m = d // (24 * s.r)
+        _, plus, minus = _type_constants(s)
+        per_plus += m * plus
+        per_minus += m * minus
     if d + per_minus - acz12_d != 0:
         # A nonzero residual would be major news: fail loudly rather
         # than silently dropping the basket.

@@ -103,7 +103,7 @@ def poly_div_one_minus_t(p: Sequence[int]) -> IntPoly:
     return poly(out)
 
 
-def poly_str(p: Sequence[int], var: str = "t") -> str:
+def poly_str(p: Sequence[int]) -> str:
     """Human-readable form such as ``1 - 2t^3 - 3t^4 + 3t^5 + 2t^6 - t^9``."""
     terms = []
     for k, c in enumerate(p):
@@ -113,7 +113,7 @@ def poly_str(p: Sequence[int], var: str = "t") -> str:
         if k == 0:
             body = str(mag)
         else:
-            tpow = var if k == 1 else f"{var}^{k}"
+            tpow = "t" if k == 1 else f"t^{k}"
             body = tpow if mag == 1 else f"{mag}{tpow}"
         if not terms:
             terms.append(body if c > 0 else f"-{body}")

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import inspect
 import json
 import pickle
 from fractions import Fraction
@@ -40,8 +41,10 @@ from fano2.riemann_roch import (
     genus_range,
     hilbert_series,
     kawamata_status,
+    scaled_degree,
     scaled_invariants,
 )
+from fano2.series import DEFAULT_CUTOFF
 
 
 class TestCandidateInvariants:
@@ -120,6 +123,42 @@ class TestCandidateInvariants:
             candidate(Basket(), 3, cutoff=1)
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
             enumerate_candidates(1)
+
+    def test_constructor_takes_the_identity_alone(self):
+        params = inspect.signature(candidate).parameters
+        assert list(params) == ["basket", "genus", "cutoff"]
+        assert params["cutoff"].default == DEFAULT_CUTOFF
+
+    @pytest.mark.parametrize("cutoff", [2, 60, 200])
+    def test_fields_are_derived_from_the_identity(self, cutoff):
+        for c in enumerate_candidates(cutoff):
+            d, acz12_d, a3_d = scaled_degree(c.basket, c.genus)
+            assert (c.scale, c.acz12_scaled, c.a3_scaled) == (d, acz12_d, a3_d)
+            assert c.status == kawamata_status(a3_d, acz12_d)
+            assert c.k3_obstructed == (c.basket.singular_rank >= K3_RANK_BOUND)
+            assert c.cutoff == cutoff
+
+    def test_a_copy_with_another_genus_is_checked_again(self, candidates):
+        # __reduce__ hands over the identity alone, so a copy edited to a
+        # genus below the degree range is refused, not built with the
+        # degree of the genus it was copied from
+        edited = 0
+        for c in candidates[::10]:
+            fn, args = c.__reduce__()
+            low = min(genus_range(c.basket)) - 1
+            if base_degree(c.basket) + low + 2 > 0:
+                continue  # the range starts at genus -2, not at A^3 > 0
+            with pytest.raises(NonpositiveDegreeError):
+                fn(args[0], low, *args[2:])
+            edited += 1
+        assert edited > 100
+
+    def test_repr_and_equality_are_by_identity(self, candidates):
+        c = candidates[100]
+        assert repr(c) == (f"Candidate(basket={c.basket!r}, "
+                           f"genus={c.genus!r}, cutoff={c.cutoff!r})")
+        assert c != candidate(c.basket, c.genus, c.cutoff + 1)
+        assert c != candidate(c.basket, c.genus + 1, c.cutoff)
 
     def test_genus_range_emerges(self, candidates):
         assert min(c.genus for c in candidates) == -2

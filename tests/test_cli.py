@@ -220,6 +220,43 @@ class TestInspect:
             f"error: inadmissible basket [{10**12}x3/1]: basket load "
             "8000000000000/3 reaches 24 (A c2 would be <= 0)\n")
 
+    @pytest.mark.parametrize("basket, message", [
+        ("1000001/1", "1000002000000/1000001"),
+        ("10000001/1", "100000020000000/10000001"),
+    ])
+    def test_large_index_exit_1_at_once(self, capsys, basket, message):
+        # the load is checked before the periodic terms, which cost O(r):
+        # 10000001/1 used to take over a second to be refused
+        code, out, err = run(capsys, "inspect", "--basket", basket,
+                             "--genus", "0")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: inadmissible basket [{basket}]: basket load {message} "
+            "reaches 24 (A c2 would be <= 0)\n")
+
+    @pytest.mark.parametrize("basket, code", [
+        ("9" * 5000 + "x3/1", 2),
+        ("9" * 5000 + "/1", 2),
+        ("3/" + "9" * 5000, 2),
+        ("9" * 4300 + "x3/1", 1),
+        ("9" * 4299 + "x3/1," + "9" * 4299 + "x5/2", 1),
+        ("9" * 4300 + "x3/1," + "9" * 4300 + "x3/1", 1),
+        ("1" * 2200 + "3/1", 1),
+    ], ids=["mult5000", "r5000", "a5000", "mult4300", "two4299",
+            "two4300same", "r2201"])
+    def test_long_numbers_give_one_error_line(self, capsys, basket, code):
+        # past the digits int() reads the basket does not parse; a load
+        # past the digits str() writes is still written
+        got, out, err = run(capsys, "inspect", "--basket", basket,
+                            "--genus", "0")
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1
+        assert err.startswith("error: cannot parse basket: basket entry "
+                              if code == 2 else
+                              "error: inadmissible basket [")
+        assert err.endswith(" digits\n" if code == 2 else
+                            " reaches 24 (A c2 would be <= 0)\n")
+
     def test_genus_is_checked_before_the_point_count(self, capsys):
         code, out, err = run(capsys, "inspect", "--basket", "10x3/1",
                              "--genus", "-3")

@@ -1,5 +1,6 @@
 """The Riemann-Roch engine: global invariants, periodic terms, series."""
 
+import time
 from fractions import Fraction
 from math import comb, lcm
 
@@ -119,6 +120,28 @@ class TestScaledInvariants:
         with pytest.raises(BasketBoundError):
             scaled_invariants(Basket([SingularityType(3, 1)] * 9))
         assert scaled_invariants.cache_info().currsize == before
+
+    @pytest.mark.parametrize("refuse", [
+        scaled_invariants,
+        lambda b: hilbert_series(b, 0),
+        acz12_from_basket,
+        polarisation_residual,
+        base_degree,
+        lambda b: plurigenus(b, Fraction(1), 1),
+    ], ids=["scaled_invariants", "hilbert_series", "acz12_from_basket",
+            "polarisation_residual", "base_degree", "plurigenus"])
+    def test_large_index_is_refused_before_its_periodic_terms(
+        self, fresh_invariants, refuse
+    ):
+        # a periodic term of index r sums O(r) terms: about 0.6 s each at
+        # r = 10^7 + 1, whose load alone is far past 24.  The caches are
+        # emptied, so no case gets its terms from an earlier one.
+        periodic_term.cache_clear()
+        basket = Basket([SingularityType(10**7 + 1, 1)])
+        start = time.perf_counter()
+        with pytest.raises(BasketBoundError, match="reaches 24"):
+            refuse(basket)
+        assert time.perf_counter() - start < 0.05
 
     def test_nonzero_residual_raises(self, fresh_invariants, monkeypatch):
         # An explicit raise, not an assert, so it also holds under -O.

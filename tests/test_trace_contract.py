@@ -2,12 +2,19 @@
 
 ``perfbench/tracing.py`` wraps public functions by name and counts fields
 of their return values; ``perfbench/worker.py`` reads the cache counters
-of ``periodic_term``.  The module is loaded by path and left untouched, so
-an API change that would break the trace fails here first.
+of ``periodic_term``; ``perfbench/run.py`` fails a traced run in which a
+workload never calls a layer of its ``EXPECTED_CALLS``.  The modules are
+loaded by path, or read as source, and left untouched, so an API change
+that would break the trace fails here first.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,7 +25,34 @@ from fano2.classify import candidate, enumerate_candidates
 from fano2.graded_rings import corrected_inference
 from fano2.tables import load_table_entries, verify_table_entry
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+
+#: The command lines of one unit of each benchmark workload, in the order
+#: the unit runs them; ``families`` runs one of its inspect queries.
+WORKLOAD_ARGV = {
+    "enumerate": [["enumerate", "--format", "json"]],
+    "analyse": [["histogram", "--by", "codim"], ["verify-tables"]],
+    "families": [["inspect", "--basket", "5x3/1,7/1", "--genus", "-2",
+                  "--cutoff", "60", "--format", "json"]],
+}
+
+#: Runs the command lines given as JSON in argv[1] under a trace, each as
+#: one request, and prints the recorder's dump.
+TRACED_RUN = """
+import contextlib, io, json, sys
+import fano2.cli as cli
+from tracing import Recorder
+
+recorder = Recorder()
+recorder.install()
+for run_id, argv in enumerate(json.loads(sys.argv[1])):
+    recorder.run_id = run_id
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(argv)
+print(json.dumps(recorder.dump()))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +95,35 @@ def test_result_counters_accept_real_return_values(tracing):
 def test_periodic_term_keeps_its_cache_counters():
     info = riemann_roch.periodic_term.cache_info()
     assert info.hits >= 0 and info.misses >= 0
+
+
+def _expected_calls() -> dict:
+    """``EXPECTED_CALLS`` of perfbench/run.py, read from its source: importing
+    it would set ``sys.dont_write_bytecode`` in this process."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "EXPECTED_CALLS"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/run.py assigns no EXPECTED_CALLS")
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ARGV))
+def test_each_workload_calls_every_layer_its_trace_expects(tracing, workload):
+    # one fresh process per workload, as the benchmark's workers are
+    expected = _expected_calls()
+    assert set(expected) == set(WORKLOAD_ARGV)
+    argvs = WORKLOAD_ARGV[workload]
+    src = Path(importlib.import_module("fano2").__file__).parents[1]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join([str(src), str(PERFBENCH)])}
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_RUN, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    dump = json.loads(proc.stdout)
+    totals = tracing.layer_totals(dump["spans"], dump["counts"],
+                                  range(len(argvs)))
+    tracing.require_calls(totals, expected[workload], workload)
