@@ -26,7 +26,7 @@ from math import gcd, lcm
 from typing import Iterable, NamedTuple
 
 #: Upper bound for the basket load sum (r^2 - 1)/r; strict inequality.
-BASKET_BOUND = Fraction(24)
+BASKET_BOUND = 24
 
 #: Most points a basket within the bound has: each costs at least 8/3,
 #: the cost of 1/3(1, 2, 2), and nine of those reach 24.
@@ -247,11 +247,9 @@ def _too_many(runs: list[tuple[SingularityType, int]]) -> BasketBoundError:
 def singularity_universe() -> tuple[SingularityType, ...]:
     """All types whose load alone fits the bound, in (r, a) order: odd r
     while the cost (r^2 - 1)/r stays below BASKET_BOUND (so r <= 23), and
-    a in 1..(r-1)/2 coprime to r.  The cost depends on r alone, so the
-    type 1/r(1, r-1, 2) stands for the index."""
-    indices = takewhile(
-        lambda r: SingularityType(r, 1).cost < BASKET_BOUND, count(3, 2)
-    )
+    a in 1..(r-1)/2 coprime to r.  The cost depends on r alone, and is
+    compared in integers as r^2 - 1 < BASKET_BOUND r."""
+    indices = takewhile(lambda r: r * r - 1 < BASKET_BOUND * r, count(3, 2))
     return tuple(
         SingularityType(r, a)
         for r in indices
@@ -267,12 +265,12 @@ def enumerate_baskets() -> list[Basket]:
     depth-first walk over the sorted universe produces directly; the
     result is deterministic and diffable.  The walk runs on integer loads:
     every cost and the bound are scaled by the lcm of the indices in the
-    universe, which clears their denominators, so the integers compare
-    exactly as the rationals do.
+    universe, which clears their denominators, so the integers
+    (r^2 - 1) (scale / r) compare exactly as the rationals do.
     """
     universe = singularity_universe()
     scale = lcm(*(s.r for s in universe))
-    loads = [int(s.cost * scale) for s in universe]
+    loads = [(s.r * s.r - 1) * (scale // s.r) for s in universe]
     out: list[Basket] = []
     acc: list[SingularityType] = []
 
@@ -284,5 +282,5 @@ def enumerate_baskets() -> list[Basket]:
                 walk(i, remaining - loads[i])
                 acc.pop()
 
-    walk(0, int(BASKET_BOUND * scale))
+    walk(0, BASKET_BOUND * scale)
     return out

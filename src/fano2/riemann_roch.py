@@ -9,8 +9,11 @@ with i_n = s.local_index(n) the local index of nA, b = s.b the solution
 of a b = 2 (mod r), and bar the residue in [0, r-1].  The sum over the
 basket enters both the single-value formula :func:`plurigenus` and the
 full series :func:`hilbert_series`; the two are computed along
-deliberately separate code paths (Fraction evaluation term by term
-versus integer tables) so that one can oracle the other.
+deliberately separate code paths so that one can oracle the other.
+The series reads 24 r per(n) from an integer table per type
+(:func:`_periodic_table`); :func:`plurigenus` evaluates
+:func:`periodic_term` on Fraction, term by term.  The two routes share
+only SingularityType.b and local_index.
 
 Global quantities, for a basket B and ample Weil divisor A:
 
@@ -83,7 +86,10 @@ class PolarisationResidualError(ValueError):
 @cache
 def periodic_term(s: SingularityType, n: int) -> Fraction:
     """Periodic correction of the basket point s at nA; r-periodic in n,
-    vanishing when r divides n."""
+    vanishing when r divides n.
+
+    The Fraction oracle of :func:`_periodic_table`, read by
+    :func:`plurigenus` and the other Fraction forms only."""
     r, b, i = s.r, s.b, s.local_index(n)
     term = -Fraction(i * (r * r - 1), 12 * r)
     if i > 1:
@@ -140,21 +146,15 @@ def kawamata_status(a3: Fraction | int, acz12: Fraction | int) -> str:
     beyond it.  The status is homogeneous in the pair: scaling both by
     the same positive number changes nothing, so the integers
     (D A^3, D Ac2/12) of :func:`scaled_invariants` classify as the
-    Fractions do.
+    Fractions do.  The cap DEGREE_CAP = p/q is compared as
+    q A^3 <= p (Ac2/12), which builds no Fraction from integers.
     """
+    p, q = DEGREE_CAP.numerator, DEGREE_CAP.denominator
     if a3 <= STABLE_DEGREE_CAP * acz12:
         return STABLE
-    if a3 <= DEGREE_CAP * acz12:
+    if q * a3 <= p * acz12:
         return UNSTABLE
     return REJECTED
-
-
-def _scaled(x: Fraction, d: int) -> int:
-    """x * d as an integer; raises when d does not clear x's denominator."""
-    y = x * d
-    if y.denominator != 1:
-        raise NonIntegerSeriesError(f"{x} times {d} is not an integer")
-    return y.numerator
 
 
 #: Bits per lane of a packed table whose coefficients are below 2^63.
@@ -236,31 +236,51 @@ def _unit_series(cutoff: int) -> tuple[Packed, Packed]:
 
 
 @cache
+def _periodic_table(s: SingularityType) -> tuple[int, ...]:
+    """24 r per(s, k) for k = 0..r-1, in integers: with i = s.local_index(k),
+
+        24 r per(s, k) = -2 i (r^2 - 1)
+                         + 12 sum_{j=1}^{i-1} bar(bj) (r - bar(bj)).
+
+    The partial sums over j are taken once, so a type costs O(r).  This
+    is the integer route's only periodic term; :func:`periodic_term`
+    computes the same values on Fraction, as the test suite's oracle.
+    """
+    r, b = s.r, s.b
+    sums = [0, 0]  # sums[i]: the sum over j = 1..i-1
+    for j in range(1, r - 1):
+        m = b * j % r
+        sums.append(sums[-1] + m * (r - m))
+    return tuple(
+        -2 * i * (r * r - 1) + 12 * sums[i] for i in map(s.local_index, range(r))
+    )
+
+
+@cache
 def _type_constants(s: SingularityType) -> tuple[int, int, int]:
     """r^2 - 1, 24 r per(s, 1) and 24 r per(s, -1): the integers one
     point of type s contributes to :func:`scaled_invariants` and to its
-    table in :func:`_point_series`, in units of 1/(24 r)."""
-    d = 24 * s.r
-    return (
-        _scaled(s.cost, s.r),
-        _scaled(periodic_term(s, 1), d),
-        _scaled(periodic_term(s, -1), d),
-    )
+    table in :func:`_point_series`, in units of 1/(24 r), read off
+    :func:`_periodic_table` (whose last entry is k = r - 1, the class of
+    n = -1)."""
+    per = _periodic_table(s)
+    return s.r * s.r - 1, per[1], per[-1]
 
 
 @cache
 def _point_series(s: SingularityType, cutoff: int) -> Packed:
     """Q_s(n) for n = 0..cutoff, packed: the integer share of one point of
-    type s in h^0(nA), with C = C(n+2,3) read from the packed unit table
-    and the integers of :func:`_type_constants`,
+    type s in h^0(nA), with C = C(n+2,3) read from the packed unit table,
+    24 r per(s, n mod r) from :func:`_periodic_table` and the integers of
+    :func:`_type_constants`,
 
         Q_s(n) = [24 r per(s, n mod r) - 24 r per(s, 1) C
                   - (r^2 - 1)(n - C)] / (24 r).
 
-    Each 24 r per(s, k) with k <= cutoff must be an integer, and the
-    division by 24 r is exact or raises :class:`NonIntegerSeriesError`
-    naming the type and the degree.  These are the integrality checks of
-    the one-point basket {s}, whose D = 24 lcm(r) is 24 r: there
+    The division by 24 r is exact or raises
+    :class:`NonIntegerSeriesError` naming the type and the degree.  This
+    is the integrality check of the one-point basket {s}, whose
+    D = 24 lcm(r) is 24 r: there
 
         D h^0(nA) = D [1 + n - 2C + N C] + 24 r Q_s(n),
 
@@ -275,7 +295,7 @@ def _point_series(s: SingularityType, cutoff: int) -> Packed:
     r = s.r
     d = 24 * r
     cost, plus, _ = _type_constants(s)
-    per = [_scaled(periodic_term(s, k), d) for k in range(min(r, cutoff + 1))]
+    per = _periodic_table(s)
     out = []
     for n, c in enumerate(_table(_unit_series(cutoff)[1], cutoff + 1)):
         x = per[n % r] - plus * c - cost * (n - c)
@@ -308,7 +328,7 @@ def scaled_invariants(basket: Basket) -> tuple[int, int, int]:
     test suite's oracle.  Raises :class:`BasketBoundError` for an
     overweight basket and :class:`PolarisationResidualError` for a
     nonzero residual, so only admissible baskets are cached.  The load is
-    checked first, from r^2 - 1 alone, since a periodic term costs O(r).
+    checked first, from r^2 - 1 alone, since a periodic table costs O(r).
     """
     d = 24 * lcm(*(s.r for s in basket))
     acz12_d = d - sum(d // (24 * s.r) * (s.r * s.r - 1) for s in basket)
@@ -410,8 +430,10 @@ def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:
     """chi(nA) evaluated term by term; equals h^0(nA) for n >= -1.
 
     This is the single-value route: the polynomial part is evaluated
-    directly (no series machinery), sharing only periodic_term with
-    :func:`hilbert_series`, which makes the two mutual oracles.
+    directly (no series machinery) and the periodic part by
+    :func:`periodic_term` on Fraction.  It shares only SingularityType.b
+    and local_index with :func:`hilbert_series`, whose integer tables
+    never read periodic_term, which makes the two mutual oracles.
     """
     f = FANO_INDEX
     return (

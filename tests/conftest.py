@@ -20,11 +20,13 @@ def candidates():
 @pytest.fixture
 def fresh_invariants():
     """Empty the per-basket cache of scaled_invariants and the per-type
-    caches behind it and behind the series (the packed point tables of
-    _point_series) around a test that monkeypatches a constant they read,
-    so that the patch is seen and none of its values outlive the test."""
+    caches behind it and behind the series (the integer periodic tables,
+    and the packed point tables of _point_series) around a test that
+    monkeypatches a constant they read, so that the patch is seen and
+    none of its values outlive the test."""
     caches = (
         scaled_invariants,
+        riemann_roch._periodic_table,
         riemann_roch._type_constants,
         riemann_roch._point_series,
     )

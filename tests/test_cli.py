@@ -639,3 +639,41 @@ class TestImportBudget:
 
     def test_verify_tables_loads_the_tables(self):
         assert "fano2.tables" in self.loaded("verify-tables")
+
+
+#: Run with ``python -B -c FRACTION_PROBE ARGV...``: imports fano2.cli, then
+#: counts every Fraction built while ``main(ARGV)`` runs, and prints it.
+FRACTION_PROBE = """
+import contextlib, fractions, io, sys
+import fano2.cli
+built = 0
+new = fractions.Fraction.__new__
+def counted(cls, *args, **kwargs):
+    global built
+    built += 1
+    return new(cls, *args, **kwargs)
+fractions.Fraction.__new__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fano2.cli.main(sys.argv[1:])
+print(code, built)
+"""
+
+
+class TestIntegerRoute:
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--format", "json"), ("histogram", "--by", "codim"),
+         ("inspect", "--basket", "3/1,5/2", "--genus", "2", "--format",
+          "json")],
+        ids=" ".join,
+    )
+    def test_command_builds_no_fraction(self, argv):
+        # Series, degrees, loads and statuses are all computed in
+        # integers: a cold command builds no Fraction at all.  The
+        # Fraction forms of riemann_roch are the test suite's oracle.
+        env = os.environ | {"PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", FRACTION_PROBE, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "0 0\n"

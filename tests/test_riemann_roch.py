@@ -192,50 +192,50 @@ class TestHilbertSeries:
         with pytest.raises(NonpositiveDegreeError):
             hilbert_series(Basket(), -2)
 
-    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(1, 7)])
+    @pytest.mark.parametrize("base", [Fraction(1, 2), Fraction(5, 36)])
     def test_degree_off_the_lattice_is_not_integral(
         self, fresh_invariants, monkeypatch, base
     ):
         # A^3 outside base_degree + Z for the one point 3/1, whose 24 r is
-        # 72.  72 clears 1/2: lowering 24 r per(s, 1) by 72/2 = 36 moves
-        # the base degree from -5/3 to -7/6, which the integer constants
-        # accept, and the exact division of the point's table catches it
-        # at degree 1.  72 does not clear 1/7: a periodic term that would
-        # put the base degree at 1/7 (-1 - 8/9 - 1/7) is caught when the
-        # point scales it by 24 r.
-        if (72 * base).denominator == 1:
-            constants = riemann_roch._type_constants
-            shift = int(72 * base)
-            monkeypatch.setattr(
-                riemann_roch, "_type_constants",
-                lambda s: (constants(s)[0], constants(s)[1] - shift,
-                           constants(s)[2]),
-            )
-            match = (r"^non-integer coefficient at degree 1 "
-                     r"for a point of type 3/1: 1/2$")
-        else:
-            monkeypatch.setattr(
-                riemann_roch, "periodic_term",
-                lambda s, n: -1 - Fraction(8, 9) - base,
-            )
-            match = None
-        with pytest.raises(NonIntegerSeriesError, match=match):
+        # 72.  The integer constants express a base degree in steps of
+        # 1/72 only: lowering 24 r per(s, 1) by 72 base moves the base
+        # degree by base (1/2, or 5/36, the step nearest 1/7), which the
+        # constants accept, and the exact division of the point's table
+        # catches it at degree 1.
+        constants = riemann_roch._type_constants
+        shift = int(72 * base)
+        monkeypatch.setattr(
+            riemann_roch, "_type_constants",
+            lambda s: (constants(s)[0], constants(s)[1] - shift,
+                       constants(s)[2]),
+        )
+        with pytest.raises(
+            NonIntegerSeriesError,
+            match=rf"^non-integer coefficient at degree 1 "
+                  rf"for a point of type 3/1: {base}$",
+        ):
             hilbert_series(parse_basket("3/1"), 0, 10)
 
     def test_periodic_term_off_the_lattice_is_not_integral(
         self, fresh_invariants, monkeypatch
     ):
-        # per(3/1, 2) moved by 1/144, which 24 r = 72 does not clear; the
-        # constants read only n = 1 and n = -1, so the point's table is
-        # where it is caught.
-        term = riemann_roch.periodic_term
+        # 24 r per(5/2, 2) moved by 1, which 24 r = 120 does not divide:
+        # the point's share 2 at degree 2 becomes 241/120.  The constants
+        # read only k = 1 and k = r - 1, so the point's table is where it
+        # is caught.  (For 3/1, k = 2 is k = r - 1, and the moved entry
+        # would be a nonzero polarisation residual.)
+        table = riemann_roch._periodic_table
         monkeypatch.setattr(
-            riemann_roch, "periodic_term",
-            lambda s, n: term(s, n) + (Fraction(1, 144) if n == 2 else 0),
+            riemann_roch, "_periodic_table",
+            lambda s: tuple(t + (k == 2) for k, t in enumerate(table(s))),
         )
-        hilbert_series(parse_basket("3/1"), 0, 1)
-        with pytest.raises(NonIntegerSeriesError):
-            hilbert_series(parse_basket("3/1"), 0, 2)
+        hilbert_series(parse_basket("5/2"), 0, 1)
+        with pytest.raises(
+            NonIntegerSeriesError,
+            match=r"^non-integer coefficient at degree 2 "
+                  r"for a point of type 5/2: 241/120$",
+        ):
+            hilbert_series(parse_basket("5/2"), 0, 2)
 
     def test_coefficients_are_integral_and_counted(self):
         for text, genus in (("3/1", 5), ("21/10", 0), ("5/2,7/1", -1)):
@@ -326,6 +326,21 @@ class TestPointSeries:
         baskets = set(enumerate_baskets())
         assert all(Basket((s,)) in baskets for s in types)
 
+    def test_periodic_table_is_the_scaled_periodic_term(self):
+        # the bridge between the routes: on every type the integer table
+        # and constants of the series are the Fraction terms of plurigenus
+        # times 24 r
+        types = singularity_universe()
+        assert len(types) == 58
+        for s in types:
+            d = 24 * s.r
+            table = riemann_roch._periodic_table(s)
+            assert all(type(t) is int for t in table), s
+            assert table == tuple(d * periodic_term(s, k) for k in range(s.r)), s
+            assert riemann_roch._type_constants(s) == (
+                s.r * s.cost, d * periodic_term(s, 1), d * periodic_term(s, -1)
+            ), s
+
     def test_every_table_is_integral_and_extends(self):
         # over the decoded tables: each is cached packed, with its bound
         def table(s, cutoff):
@@ -384,7 +399,9 @@ class TestPlurigenus:
 
     def test_two_route_equality_on_every_candidate(self, candidates):
         # The whole enumeration, degrees 0..60: the assembled series and
-        # the term-wise chi share nothing but periodic_term.
+        # the term-wise chi share nothing but SingularityType.b and
+        # local_index; the series reads the integer periodic tables and
+        # the chi reads periodic_term.
         assert len(candidates) == 1492
         bad = [
             (str(c.basket), c.genus, n)
@@ -397,3 +414,30 @@ class TestPlurigenus:
     def test_anticanonical_sections_of_largest_degree(self):
         # chi(2A) for the nonsingular degree-9 candidate.
         assert plurigenus(Basket(), Fraction(9), 2) == 39
+
+
+class TestK3Section:
+    def test_k3_identity_on_every_candidate(self, candidates):
+        # A third route, sharing no code with the other two.  A general
+        # S in |2A| is a K3 surface with D = A|_S, D^2 = 2 A^3, and an
+        # A_{r-1} point for each basket point 1/r(a, -a, 2), where nD has
+        # local type m = n a^-1 mod r.  Riemann-Roch on S and
+        # 0 -> O((n-2)A) -> O(nA) -> O_S(nD) -> 0 give, for n >= 1,
+        #     P_n - P_{n-2} = 2 + n^2 A^3 - sum m (r - m) / (2 r),
+        # checked here in integers over a denominator of its own, with no
+        # periodic_term, SingularityType.b or point table.
+        assert len(candidates) == 1492
+        bad = []
+        for c in candidates:
+            a3, p = c.a3, c.series
+            points = [(s.r, pow(s.a, -1, s.r)) for s in c.basket]
+            d = lcm(a3.denominator, *(2 * r for r, _ in points))
+            a3_d = a3.numerator * (d // a3.denominator)
+            for n in range(1, 60):
+                k3 = 2 * d + n * n * a3_d - sum(
+                    n * u % r * (r - n * u % r) * (d // (2 * r))
+                    for r, u in points
+                )
+                if d * (p[n] - (p[n - 2] if n >= 2 else 0)) != k3:
+                    bad.append((str(c.basket), c.genus, n))
+        assert not bad, bad[:5]
