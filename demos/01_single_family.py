@@ -5,10 +5,10 @@ the smallest-degree candidate in the whole classification.
 """
 
 from fano2 import (
+    Candidate,
     RationalForm,
     acz12_from_basket,
     base_degree,
-    candidate,
     corrected_inference,
     hilbert_series,
     kawamata_status,
@@ -33,7 +33,7 @@ series = hilbert_series(basket, genus, cutoff=60)
 print(f"series            {', '.join(str(c) for c in series[:13])}, ...")
 
 # Reading generators off the series recovers a weighted hypersurface.
-model = corrected_inference(candidate(basket, genus))
+model = corrected_inference(Candidate(basket, genus))
 print(f"ambient weights   {model.weights}")
 print(f"numerator         {poly_str(model.numerator)}")
 print(f"shape             {model.shape} (codim {model.codim})")

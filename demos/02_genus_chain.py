@@ -9,8 +9,8 @@ back in: that is the corrected inference at work.
 """
 
 from fano2 import (
+    Candidate,
     base_degree,
-    candidate,
     corrected_inference,
     hilbert_series,
     infer_generators,
@@ -22,7 +22,7 @@ basket = parse_basket("3/1")
 
 for genus in (0, 1, 2):
     a3 = base_degree(basket) + genus + 2
-    model = corrected_inference(candidate(basket, genus))
+    model = corrected_inference(Candidate(basket, genus))
     print(f"genus {genus}:  A^3 = {a3}")
     print(f"  weights   {model.weights}"
           + (f"  (seeded: {model.seeded})" if model.seeded else ""))

@@ -7,7 +7,7 @@ forced in and the ring lands in codimension 4 or higher.
 """
 
 from fano2 import (
-    candidate,
+    Candidate,
     corrected_inference,
     hilbert_series,
     infer_generators,
@@ -24,7 +24,7 @@ weights, numerator = infer_generators(series)
 print(f"greedy weights      {weights}")
 print(f"greedy numerator    {poly_str(numerator)}")
 print(f"residue gaps        {polarization_gaps(weights, basket)}")
-model = corrected_inference(candidate(basket, -1))
+model = corrected_inference(Candidate(basket, -1))
 print(f"corrected weights   {model.weights}  -> codim {model.codim}")
 
 # Index 9, genus 1: three generators in degree 1, two more in degree 2,
@@ -32,6 +32,6 @@ print(f"corrected weights   {model.weights}  -> codim {model.codim}")
 basket = parse_basket("9/1")
 series = hilbert_series(basket, 1, cutoff=60)
 print(f"\nindex-9 series      {', '.join(str(c) for c in series[:7])}, ...")
-model = corrected_inference(candidate(basket, 1))
+model = corrected_inference(Candidate(basket, 1))
 print(f"corrected weights   {model.weights}  (seeded {model.seeded})")
 print(f"codimension         >= {model.codim}")

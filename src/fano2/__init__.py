@@ -23,7 +23,6 @@ from .classify import (
     Candidate,
     K3_RANK_BOUND,
     anticanonical_sections,
-    candidate,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,

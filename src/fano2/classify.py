@@ -7,19 +7,19 @@ strictly positive and at most (48/5)(Ac2/12), the genera of
 imposed anywhere; it emerges from the filters and is asserted by the
 test suite.
 
-A candidate computes its Hilbert series on first read, to exactly the
-degree its first reader asks, and past that to DEFAULT_CUTOFF at least
-(:meth:`Candidate.read`).  So a caller that prints three coefficients, or
-a greedy pass whose first relation lies in its first prefix, builds no
+A candidate computes its Hilbert series on read, to exactly the degree
+asked when it holds less (:meth:`Candidate.read`).  So a caller that
+prints three coefficients, a greedy pass whose first relation lies in its
+first prefix, or a numerator read to half its Gorenstein degree builds no
 more of the series than it reads.  The rule reads no cutoff: the cutoff
 says only how far records print.
 
 Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
 Records are output only: they are never read back.  A candidate is its
-identity (basket, genus, cutoff): ``Candidate(basket, genus, cutoff)``,
-also named ``candidate``, derives everything else from it, and a copy or
-an unpickled candidate is built by it again.
+identity (basket, genus, cutoff): ``Candidate(basket, genus, cutoff)``
+derives everything else from it, and a copy or an unpickled candidate is
+built by it again.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class Candidate:
     ``scale`` (see :func:`~fano2.riemann_roch.scaled_invariants`); ``a3``
     and ``acz12`` build their Fractions on read, for output.
 
-    The Hilbert series is computed on first read: :meth:`read` returns it
-    to any degree and keeps the deepest series computed so far, and
-    ``series`` is the series to ``cutoff``, the degree records report.
+    The Hilbert series is computed on read: :meth:`read` returns it to
+    any degree, computing exactly that degree when it holds less and
+    keeping the deepest series computed so far; ``series`` is the series
+    to ``cutoff``, the degree records report.
     Nothing else reads the cutoff: the same reads compute the same series
     whatever cutoff the candidate was built with.
     A candidate is read-only.  It compares, hashes, pickles and prints by
@@ -135,18 +136,15 @@ class Candidate:
     def read(self, h: int) -> Series:
         """The series to degree h, sliced from the series held.
 
-        A candidate that holds no series computes exactly degree h, so a
-        first read to degree 2, or to a first greedy prefix, costs no
-        more than it reads.  Past the series held one
-        :func:`hilbert_series` call computes it again, to
-        max(h, DEFAULT_CUTOFF), so a candidate read shallow first is
-        computed again once for its model, unless that model reads past
-        DEFAULT_CUTOFF.  The cutoff is not read.
+        Past the series held, one :func:`hilbert_series` call computes
+        it to exactly degree h, which is then held; a read within it
+        computes nothing.  How far ahead to read is the caller's choice:
+        the greedy pass schedules its prefixes itself
+        (:func:`~fano2.graded_rings._prefixes`).  The cutoff is not read.
         """
         held = self._held
         if h >= len(held):
-            depth = max(h, DEFAULT_CUTOFF) if held else h
-            held = hilbert_series(self.basket, self.genus, depth)
+            held = hilbert_series(self.basket, self.genus, h)
             object.__setattr__(self, "_held", held)
         return held[: h + 1]
 
@@ -172,15 +170,11 @@ def anticanonical_sections(c: Candidate) -> int:
     return c.read(2)[2]
 
 
-#: The constructor, under the name its callers have always used.
-candidate = Candidate
-
-
 @lru_cache(maxsize=4)
 def _enumerate(cutoff: int) -> tuple[Candidate, ...]:
     out: list[Candidate] = []
     for basket in enumerate_baskets():
-        out.extend(candidate(basket, g, cutoff) for g in genus_range(basket))
+        out.extend(Candidate(basket, g, cutoff) for g in genus_range(basket))
     return tuple(out)
 
 

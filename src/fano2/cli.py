@@ -12,16 +12,16 @@ k3-obstructions  the candidates whose singular rank rules out a K3 elephant
 
 ``--cutoff`` sets the degree the series are cut at when they are printed,
 serialised or counted as distinct, and nothing else.  A candidate
-computes its series on first read, to exactly the degree its first
-reader asks, and past that to degree 60 at least: the ``enumerate`` text
-lines read three coefficients, ``k3-obstructions`` text lines none, and
-records the series to the cutoff.  Graded models (``inspect``,
-``histogram --by codim``) read the basket's series as deep as they need,
-and the degrees they read do not depend on the cutoff, so they are the
-same at every cutoff.  A model builds its numerator and shape on first
-read: ``inspect`` reads both, while ``histogram --by codim`` reads only
-codimensions, so each of its greedy passes computes the series only to
-the prefix that holds its first relation.
+computes its series on read, to exactly the degree asked when it holds
+less: the ``enumerate`` text lines read three coefficients,
+``k3-obstructions`` text lines none, and records the series to the
+cutoff.  Graded models (``inspect``, ``histogram --by codim``) read the
+basket's series as deep as they need, and the degrees they read do not
+depend on the cutoff, so they are the same at every cutoff.  A model
+builds its numerator and shape on first read: ``inspect`` reads both,
+while ``histogram --by codim`` reads only codimensions, so each of its
+greedy passes computes the series only to the prefix that holds its
+first relation.
 
 The parsers are built once per process, on the first :func:`main` call,
 so a long-lived caller pays for them once.  Each call is parsed by its
@@ -51,7 +51,6 @@ from pathlib import Path
 from .basket import BasketBoundError, BasketParseError, parse_basket
 from .classify import (
     Candidate,
-    candidate,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,
@@ -208,7 +207,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     try:
         if overweight is not None:
             raise overweight
-        c = candidate(basket, args.genus, args.cutoff)
+        c = Candidate(basket, args.genus, args.cutoff)
     except BasketBoundError as exc:
         print(f"error: inadmissible basket [{exc.basket}]: {exc}",
               file=sys.stderr)

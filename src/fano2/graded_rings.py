@@ -21,12 +21,13 @@ would read the same below the lowest gap g0, then -(seeds at g0) < 0.
 The pass stops at its first relation, so it reads only a prefix of the
 series: to degree FIRST_PREFIX, then to DEFAULT_CUTOFF, doubling from
 there while it runs out, with its product extended to each longer
-prefix.  The prefixes end: with no relation the series would be
-1/prod(1 - t^w), which by Gorenstein symmetry forces sum(w) = 2 with
-four weights, and with five or more outgrows the cubic growth of
-h^0(nA).  The pass reads through :meth:`~fano2.classify.Candidate.read`,
-so a candidate whose series nobody has read computes only the prefixes
-the pass asks for.
+prefix.  :func:`_prefixes` alone sets that schedule.  The prefixes end:
+with no relation the series would be 1/prod(1 - t^w), which by
+Gorenstein symmetry forces sum(w) = 2 with four weights, and with five
+or more outgrows the cubic growth of h^0(nA).  The pass reads through
+:meth:`~fano2.classify.Candidate.read`, which computes exactly the
+degree asked past the series held, so a candidate computes no more of
+its series than the pass and the numerator read.
 
 A model is a function of its candidate's basket and genus alone, and so
 are the degrees it reads: neither the pass nor the numerator reads the
@@ -93,8 +94,8 @@ class GradedModel:
     the candidate's :meth:`~fano2.classify.Candidate.read` that the greedy
     pass used, and then kept, so ``histogram --by codim``, which reads
     only codimensions, builds neither.  The numerator reads the series to
-    half its Gorenstein degree: the series the pass left held, or, past
-    it, one to DEFAULT_CUTOFF at least, whatever the candidate's cutoff.
+    half its Gorenstein degree, whatever the candidate's cutoff: within
+    the series held it computes nothing, and past it exactly that degree.
     A model is read-only.  It compares and hashes by (basket, genus,
     weights, seeded): the numerator and shape are functions of the first
     three, so equal models have equal ones.
@@ -236,12 +237,11 @@ def _prefixes(c: Candidate) -> Iterator[Series]:
     """Prefixes of the candidate's series: to FIRST_PREFIX, and after a
     prefix to h, to max(2h, DEFAULT_CUTOFF): 8, 60, 120, ...
 
-    The jump to DEFAULT_CUTOFF is what
-    :meth:`~fano2.classify.Candidate.read` computes past a series it
-    holds, so a candidate read shallow first, as text lines read it, is
-    computed again once, and one read to DEFAULT_CUTOFF or deeper, as
-    ``inspect`` reads it, only when its first relation lies deeper.  No
-    cutoff is read."""
+    This is the only schedule of the greedy pass's reads.
+    :meth:`~fano2.classify.Candidate.read` computes each prefix that lies
+    past the series held to exactly its degree, so a candidate already
+    read to DEFAULT_CUTOFF or deeper, as ``inspect`` reads it, is computed
+    again only when its first relation lies deeper.  No cutoff is read."""
     h = FIRST_PREFIX
     while True:
         yield c.read(h)
@@ -259,14 +259,14 @@ def corrected_inference(c: Candidate) -> GradedModel:
 
     The pass and the model's numerator, built on its first read, read the
     series through :meth:`~fano2.classify.Candidate.read`, which computes
-    it only past the deepest degree computed so far.  The pass reads
-    prefixes to FIRST_PREFIX and then to DEFAULT_CUTOFF (see
-    :func:`_prefixes`), so on a candidate nobody has read it computes the
-    series to 8, and to 60 only when its first relation lies past 8; the
-    numerator, to half the Gorenstein degree, reads the series held or
-    computes it to DEFAULT_CUTOFF at least.  None of this reads the
-    candidate's cutoff, so the model of a candidate nobody has read
-    computes the same series at every cutoff.
+    exactly the degree asked past the deepest degree computed so far.
+    The pass reads prefixes to FIRST_PREFIX and then to DEFAULT_CUTOFF
+    (see :func:`_prefixes`), so on a candidate nobody has read it computes
+    the series to 8, and to 60 only when its first relation lies past 8;
+    the numerator reads to half the Gorenstein degree, and computes the
+    series only when that lies past the prefixes read.  None of this
+    reads the candidate's cutoff, so the model of a candidate nobody has
+    read computes the same series at every cutoff.
     """
     found, pass_numerator = _greedy(_prefixes(c), ())  # they never end
     organic = list(found)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .basket import Basket, parse_basket
-from .classify import candidate
+from .classify import Candidate
 from .graded_rings import ci_numerator, corrected_inference, pfaffian_numerator
 from .riemann_roch import acz12_from_basket, base_degree
 from .series import (
@@ -145,7 +145,7 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
     symmetry about sum(weights) - 2 with sign (-1)^codim.
     """
     report = CheckReport(entry=entry)
-    c = candidate(entry.basket, entry_genus(entry), DEFAULT_CUTOFF)
+    c = Candidate(entry.basket, entry_genus(entry), DEFAULT_CUTOFF)
 
     numerator = model_numerator(entry)
     if numerator is None:

@@ -22,7 +22,7 @@ import random
 from fractions import Fraction
 
 from fano2.basket import parse_basket
-from fano2.classify import candidate, genus_histogram
+from fano2.classify import Candidate, genus_histogram
 from fano2.graded_rings import corrected_inference
 from fano2.riemann_roch import base_degree, hilbert_series, plurigenus
 from fano2.series import (
@@ -193,11 +193,11 @@ def test_c09_two_route_oracle(candidates):
 def test_c10_case_studies():
     b9 = parse_basket("9/1")
     s9 = hilbert_series(b9, 1, 60)
-    m9 = corrected_inference(candidate(b9, 1))
+    m9 = corrected_inference(Candidate(b9, 1))
     ok9 = s9[:7] == (1, 3, 8, 17, 32, 54, 85) and m9.codim >= 4
 
     b11 = parse_basket("11/2")
-    m11 = corrected_inference(candidate(b11, -1))
+    m11 = corrected_inference(Candidate(b11, -1))
     ok11 = m11.weights == (1, 2, 2, 2, 3, 5, 9, 11)
     check(
         "criterion 10: index-9 and index-11 case studies",

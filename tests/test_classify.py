@@ -18,10 +18,10 @@ from fano2.basket import (
     parse_basket,
 )
 from fano2.classify import (
+    Candidate,
     K3_RANK_BOUND,
     RECORD_FIELDS,
     anticanonical_sections,
-    candidate,
     candidate_record,
     distinct_series_count,
     enumerate_candidates,
@@ -67,7 +67,7 @@ class TestCandidateInvariants:
 
     def test_status_is_kawamata_status(self, candidates):
         # The status is homogeneous in (A^3, Ac2/12): the integers over D
-        # that candidate() passes classify as the Fractions do.
+        # that Candidate() passes classify as the Fractions do.
         assert len(candidates) == 1492
         for c in candidates:
             d, acz12_d, base_d = scaled_invariants(c.basket)
@@ -104,28 +104,28 @@ class TestCandidateInvariants:
 
     def test_constructor_rebuilds_every_candidate(self, candidates):
         for c in candidates:
-            assert candidate(c.basket, c.genus) == c
+            assert Candidate(c.basket, c.genus) == c
 
     def test_constructor_ignores_the_degree_cap(self):
         # 61/3 lies past (48/5)(8/9) = 128/15: no candidate, still built
-        c = candidate(parse_basket("3/1"), 20)
+        c = Candidate(parse_basket("3/1"), 20)
         assert (c.a3, c.acz12, c.stable) == (Fraction(61, 3), Fraction(8, 9), False)
         assert c.status == REJECTED
         assert c.series[:3] == (1, 22, 84)
 
     def test_constructor_errors(self):
         with pytest.raises(NonpositiveDegreeError):
-            candidate(Basket(), -2)
+            Candidate(Basket(), -2)
         with pytest.raises(BasketBoundError):  # not through the parser
-            candidate(Basket([SingularityType(3, 1)] * 9), 0)
+            Candidate(Basket([SingularityType(3, 1)] * 9), 0)
         # records report h0(2A), so the series must reach degree 2
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
-            candidate(Basket(), 3, cutoff=1)
+            Candidate(Basket(), 3, cutoff=1)
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
             enumerate_candidates(1)
 
     def test_constructor_takes_the_identity_alone(self):
-        params = inspect.signature(candidate).parameters
+        params = inspect.signature(Candidate).parameters
         assert list(params) == ["basket", "genus", "cutoff"]
         assert params["cutoff"].default == DEFAULT_CUTOFF
 
@@ -157,8 +157,8 @@ class TestCandidateInvariants:
         c = candidates[100]
         assert repr(c) == (f"Candidate(basket={c.basket!r}, "
                            f"genus={c.genus!r}, cutoff={c.cutoff!r})")
-        assert c != candidate(c.basket, c.genus, c.cutoff + 1)
-        assert c != candidate(c.basket, c.genus + 1, c.cutoff)
+        assert c != Candidate(c.basket, c.genus, c.cutoff + 1)
+        assert c != Candidate(c.basket, c.genus + 1, c.cutoff)
 
     def test_genus_range_emerges(self, candidates):
         assert min(c.genus for c in candidates) == -2
@@ -206,14 +206,14 @@ class TestSeriesOnRead:
     def test_read_is_the_series_to_that_degree(self, candidates, order):
         # whatever was read first, every read is the series to its degree
         for c in candidates:
-            fresh = candidate(c.basket, c.genus, c.cutoff)
+            fresh = Candidate(c.basket, c.genus, c.cutoff)
             for h in order:
                 assert fresh.read(h) == hilbert_series(c.basket, c.genus, h)
             assert fresh.series == c.series
             assert fresh == c and hash(fresh) == hash(c)
 
     def test_candidate_builds_no_series(self, series_reads):
-        c = candidate(parse_basket("3/1"), 2)
+        c = Candidate(parse_basket("3/1"), 2)
         assert series_reads == []
         assert anticanonical_sections(c) == c.read(2)[2] == 12
         assert [h for *_, h in series_reads] == [2]
@@ -222,21 +222,19 @@ class TestSeriesOnRead:
         assert [h for *_, h in series_reads] == [2, 60]
 
     def test_reads_compute_to_few_depths(self, series_reads):
-        # the first read computes the degree asked, whatever the cutoff;
-        # a read past the series held computes the default cutoff at
-        # least, so a candidate read shallow is computed again once for
-        # its model
-        c = candidate(parse_basket("3/1"), 2)
-        for h in (3, 19, 40, 61, 100):
+        # every read past the series held computes exactly the degree
+        # asked, whatever the cutoff; a read within it computes nothing
+        c = Candidate(parse_basket("3/1"), 2)
+        for h in (3, 19, 40, 19, 61, 3, 100):
             c.read(h)
-        assert [h for *_, h in series_reads] == [3, 60, 61, 100]
+        assert [h for *_, h in series_reads] == [3, 19, 40, 61, 100]
         del series_reads[:]
-        c = candidate(parse_basket("3/1"), 2, cutoff=2)
+        c = Candidate(parse_basket("3/1"), 2, cutoff=2)
         assert c.read(8) == hilbert_series(c.basket, 2, 8)
         assert [h for *_, h in series_reads] == [8]
 
     def test_record_reads_the_series_once(self, series_reads):
-        c = candidate(parse_basket("3/1"), 2, cutoff=16)
+        c = Candidate(parse_basket("3/1"), 2, cutoff=16)
         rec = candidate_record(c)
         assert len(rec["series"]) == 17
         assert [h for *_, h in series_reads] == [16]
@@ -257,7 +255,7 @@ class TestSeriesOnRead:
         for clone in copies + [copy.copy(c), copy.deepcopy(c)]:
             assert type(clone) is type(c)
             assert clone == c and hash(clone) == hash(c)
-            assert clone == candidate(c.basket, c.genus, c.cutoff)
+            assert clone == Candidate(c.basket, c.genus, c.cutoff)
             assert clone.series == c.series
             with pytest.raises(AttributeError):
                 clone._held = ()

@@ -462,6 +462,27 @@ class TestSeriesReads:
         assert code == 0
         assert [h for *_, h in series_reads] == [60]
 
+    @pytest.mark.parametrize(
+        "basket, genus, depths",
+        [("3/1", 2, [2, 8]), ("3/1,5/1,11/3", -2, [2, 8, 60])])
+    def test_inspect_past_its_cutoff_reads_the_prefixes(
+        self, capsys, series_reads, basket, genus, depths
+    ):
+        # the record reads the series to the cutoff 2; past it the model
+        # computes each greedy prefix exactly, 8 and for X38, whose first
+        # relation lies at 38, 60, and its numerator (to 4 and 19) no more
+        code, _, _ = run(capsys, "inspect", "--basket", basket, "--genus",
+                         str(genus), "--cutoff", "2")
+        assert code == 0
+        assert [h for *_, h in series_reads] == depths
+
+    def test_verify_tables_reads_each_row_once(self, capsys, series_reads):
+        # every row is cut at degree 60, and its model reads within that
+        code, _, _ = run(capsys, "verify-tables")
+        assert code == 1
+        assert len(series_reads) == 71
+        assert {h for *_, h in series_reads} == {60}
+
 
 class TestK3Obstructions:
     def test_footer_counts(self, capsys):

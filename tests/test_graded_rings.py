@@ -7,7 +7,7 @@ import pytest
 
 from fano2 import graded_rings
 from fano2.basket import Basket, parse_basket
-from fano2.classify import candidate, enumerate_candidates
+from fano2.classify import Candidate, enumerate_candidates
 from fano2.graded_rings import (
     CODIM2_CI,
     CODIM3_PFAFFIAN,
@@ -57,7 +57,7 @@ class TestInferGenerators:
         series = hilbert_series(basket, 2, 60)
         weights, _ = infer_generators(series)
         assert weights == (1, 1, 1, 1, 2, 2)
-        model = corrected_inference(candidate(basket, 2))
+        model = corrected_inference(Candidate(basket, 2))
         assert model.weights == (1, 1, 1, 1, 2, 2, 3)
         assert model.numerator == (1, 0, 0, -2, -3, 3, 2, 0, 0, -1)
         assert model.seeded == (3,)
@@ -124,27 +124,27 @@ class TestPolarizationGaps:
 
 class TestCorrectedInference:
     def test_index11_case_gets_codim4_model(self):
-        model = corrected_inference(candidate(parse_basket("11/2"), -1))
+        model = corrected_inference(Candidate(parse_basket("11/2"), -1))
         assert model.weights == (1, 2, 2, 2, 3, 5, 9, 11)
         assert model.codim == 4
         assert model.codim_is_lower_bound
         assert 9 in model.seeded
 
     def test_index9_case_is_at_least_codim4(self):
-        model = corrected_inference(candidate(parse_basket("9/1"), 1))
+        model = corrected_inference(Candidate(parse_basket("9/1"), 1))
         assert model.codim >= 4
         assert any(w % 9 == 0 for w in model.weights)
         assert any(w % 9 == 8 for w in model.weights)
 
     def test_hypersurface_needs_no_seeds(self):
-        model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        model = corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert model.shape == HYPERSURFACE
         assert model.codim == 1
         assert model.seeded == ()
         assert not model.codim_is_lower_bound
 
     def test_seeds_are_never_removed_and_expansion_is_nonnegative(self):
-        c = candidate(parse_basket("11/2"), -1)
+        c = Candidate(parse_basket("11/2"), -1)
         model = corrected_inference(c)
         for w in model.seeded:
             assert w in model.weights
@@ -220,7 +220,7 @@ class TestPrefixPasses:
         # computed once; the numerator, to half of 38, reads the series
         # held.
         lengths = self.prefix_lengths(monkeypatch)
-        model = corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        model = corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert model.numerator == (1,) + (0,) * 37 + (-1,)
         assert lengths == [9, 61]
         assert [h for *_, h in series_reads] == [8, 60]
@@ -228,16 +228,15 @@ class TestPrefixPasses:
 
     @pytest.mark.parametrize(
         "cutoff, first_read, depths",
-        [(60, True, [60]), (2, False, [8, 60]), (2, True, [2, 60])])
+        [(60, True, [60]), (2, False, [8, 60]), (2, True, [2, 8, 60])])
     def test_doubling_stops_first_at_the_default_cutoff(
         self, monkeypatch, series_reads, cutoff, first_read, depths
     ):
         # read to its cutoff 60 first, as `inspect` reads it, X38 computes
-        # no series past it; unread, it computes the first prefix exactly
-        # and then the default cutoff; read to its cutoff 2 first, its
-        # first prefix lies past the series held and is computed to 60,
-        # which then serves every read.  The cutoff itself is never read.
-        c = candidate(parse_basket("3/1,5/1,11/3"), -2, cutoff)
+        # no series past it; otherwise it computes each prefix past the
+        # series held exactly, 8 and then the default cutoff, which then
+        # serves the numerator.  The cutoff itself is never read.
+        c = Candidate(parse_basket("3/1,5/1,11/3"), -2, cutoff)
         if first_read:
             c.series
         lengths = self.prefix_lengths(monkeypatch)
@@ -255,7 +254,7 @@ class TestPrefixPasses:
             return series_times_weights(series, weights)
 
         monkeypatch.setattr(graded_rings, "series_times_weights", recording)
-        corrected_inference(candidate(parse_basket("3/1,5/1,11/3"), -2))
+        corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert products == [(9, ()), (61, (2, 3, 5))]
 
     @pytest.mark.parametrize("cutoff", [2, 60, 200])
@@ -278,21 +277,25 @@ class TestPrefixPasses:
     def test_series_is_read_again_only_past_its_end(self, cutoff, series_reads):
         # Each candidate's series is read to the cutoff first, as records
         # and `inspect` read it.  Its model then computes the series again
-        # only past the degree held, each time deeper.  At the default
-        # cutoff only the 13 numerators whose half Gorenstein degree lies
-        # past 60 do, all of K3-obstructed candidates; a shorter series is
-        # computed again at most once per candidate, to 60, plus once for
-        # each of those 13.
+        # only past the degree held, each time deeper, and each time to a
+        # prefix of the pass (8 or 60) or to the numerator's half
+        # Gorenstein degree exactly.  At the default cutoff only the 13
+        # numerators whose half Gorenstein degree lies past 60 do, all of
+        # K3-obstructed candidates.
         cands = enumerate_candidates(cutoff)
         for c in cands:
             c.series
         assert len(series_reads) == 1492
         del series_reads[:]
+        half = {}
         for c in cands:
-            corrected_inference(c).numerator
+            m = corrected_inference(c)
+            m.numerator
+            half[c.basket, c.genus] = (sum(m.weights) - 2) // 2
         depth = {(c.basket, c.genus): cutoff for c in cands}
         for basket, genus, h in series_reads:
             assert h > depth[basket, genus]
+            assert h in (8, 60, half[basket, genus])
             depth[basket, genus] = h
         obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
         if cutoff == 60:
@@ -301,7 +304,29 @@ class TestPrefixPasses:
         elif cutoff == 200:
             assert series_reads == []
         else:
-            assert len(series_reads) <= 1492 + 13
+            # the 1492 first prefixes at cutoff 2; at both, the 107
+            # prefixes to 60 and the numerators past the prefixes read
+            assert len(series_reads) == {2: 2925, 16: 1080}[cutoff]
+
+    def test_numerator_computes_half_its_gorenstein_degree(
+        self, series_reads
+    ):
+        # The models of `histogram --by codim`, then their numerators, as
+        # a traced run reads them: a numerator that lies past the prefixes
+        # its pass read computes the series to exactly half its
+        # Gorenstein degree, no deeper.
+        models = [corrected_inference(c) for c in enumerate_candidates()
+                  if not c.k3_obstructed]
+        assert len(models) == 1319
+        del series_reads[:]
+        half = {}
+        for m in models:
+            m.numerator
+            half[m.basket, m.genus] = (sum(m.weights) - 2) // 2
+        for basket, genus, h in series_reads:
+            assert h == half[basket, genus]
+        assert len(series_reads) == 1175
+        assert sum(h + 1 for *_, h in series_reads) == 25699
 
     def test_a_model_computes_the_same_depths_at_every_cutoff(
         self, candidates, series_reads
@@ -313,7 +338,7 @@ class TestPrefixPasses:
         for cutoff in (2, 16, 60, 200):
             del series_reads[:]
             for c in candidates:
-                m = corrected_inference(candidate(c.basket, c.genus, cutoff))
+                m = corrected_inference(Candidate(c.basket, c.genus, cutoff))
                 m.numerator, m.shape
             depths = {}
             for basket, genus, h in series_reads:
@@ -326,7 +351,7 @@ class TestPrefixPasses:
 
 class TestLazyModel:
     def test_numerator_and_shape_are_built_once(self, model_builds):
-        m = corrected_inference(candidate(parse_basket("3/1"), 2))
+        m = corrected_inference(Candidate(parse_basket("3/1"), 2))
         assert model_builds == {}
         for _ in range(2):
             assert m.numerator == (1, 0, 0, -2, -3, 3, 2, 0, 0, -1)
@@ -409,7 +434,7 @@ class TestShapeClassification:
         assert classify_shape((1,) * n_weights, numerator) == UNKNOWN
 
     def test_codim_ge4_by_weight_count(self):
-        model = corrected_inference(candidate(parse_basket("11/2"), -1))
+        model = corrected_inference(Candidate(parse_basket("11/2"), -1))
         assert model.shape == CODIM_GE4
 
     def test_unrecognised_is_unknown(self):
@@ -459,7 +484,7 @@ class TestCertification:
         pairs = sorted(top_genus.items(), key=lambda bg: str(bg[0]))[::5]
         for basket, genus in pairs:
             for g in (genus + 1, genus + 10):
-                m = corrected_inference(candidate(basket, g))
+                m = corrected_inference(Candidate(basket, g))
                 top = sum(m.weights) - 2
                 assert poly_degree(m.numerator) == top
                 cut = max(top, 60) + 1
@@ -495,7 +520,7 @@ class TestKnownLimitation:
         # generator shares the Hilbert series of the 1/15 hypersurface
         # and is reported as codimension 1: inference cannot separate a
         # generator/relation pair in equal degree.
-        c = candidate(parse_basket("2x3/1,5/1"), -1)
+        c = Candidate(parse_basket("2x3/1,5/1"), -1)
         series = c.series
         direct = RationalForm((1,) + (0,) * 17 + (-1,), (1, 2, 3, 5, 9))
         ci_presentation = RationalForm(

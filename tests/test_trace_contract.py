@@ -21,7 +21,7 @@ import pytest
 
 from fano2 import riemann_roch
 from fano2.basket import enumerate_baskets, parse_basket
-from fano2.classify import candidate, enumerate_candidates
+from fano2.classify import Candidate, enumerate_candidates
 from fano2.graded_rings import corrected_inference
 from fano2.tables import load_table_entries, verify_table_entry
 
@@ -76,7 +76,7 @@ def _sample_results():
         "riemann_roch.hilbert_series":
             riemann_roch.hilbert_series(basket, -2, 60),
         "graded_rings.corrected_inference":
-            corrected_inference(candidate(basket, -2)),
+            corrected_inference(Candidate(basket, -2)),
         "classify.enumerate_candidates": enumerate_candidates(),
         "basket.enumerate_baskets": enumerate_baskets(),
         "tables.verify_table_entry": verify_table_entry(load_table_entries()[0]),
