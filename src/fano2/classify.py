@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
@@ -170,23 +169,15 @@ def anticanonical_sections(c: Candidate) -> int:
     return c.read(2)[2]
 
 
-@lru_cache(maxsize=4)
-def _enumerate(cutoff: int) -> tuple[Candidate, ...]:
-    out: list[Candidate] = []
-    for basket in enumerate_baskets():
-        out.extend(Candidate(basket, g, cutoff) for g in genus_range(basket))
-    return tuple(out)
-
-
 def enumerate_candidates(
     cutoff: int = DEFAULT_CUTOFF, stable_only: bool = False
 ) -> tuple[Candidate, ...]:
     """All candidates in canonical order: basket (lexicographic), then
-    genus ascending.  Deterministic; memoised per cutoff."""
-    cands = _enumerate(cutoff)
-    if stable_only:
-        return tuple(c for c in cands if c.stable)
-    return cands
+    genus ascending.  Deterministic; each call builds fresh, unread
+    candidates."""
+    cands = (Candidate(basket, g, cutoff)
+             for basket in enumerate_baskets() for g in genus_range(basket))
+    return tuple(c for c in cands if not stable_only or c.stable)
 
 
 def distinct_series_count(candidates: Iterable[Candidate]) -> int:
@@ -269,20 +260,11 @@ def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:
     space-separated integers."""
     import csv  # only this writer needs it
 
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(RECORD_FIELDS)
+    writer = csv.DictWriter(fp, RECORD_FIELDS, lineterminator="\n")
+    writer.writeheader()
     for c in candidates:
         rec = candidate_record(c)
-        writer.writerow(
-            [
-                str(c.basket),
-                rec["genus"],
-                rec["A3"],
-                rec["Ac2_over_12"],
-                rec["stable"],
-                rec["h0_A"],
-                rec["h0_2A"],
-                rec["k3_obstructed"],
-                " ".join(str(x) for x in rec["series"]),
-            ]
-        )
+        writer.writerow(rec | {
+            "basket": str(c.basket),
+            "series": " ".join(str(x) for x in rec["series"]),
+        })

@@ -52,15 +52,12 @@ def model_builds(monkeypatch):
 @pytest.fixture
 def series_reads(monkeypatch):
     """The series candidates compute, as (basket, genus, cutoff) per call
-    of hilbert_series.  The enumeration cache is emptied around the test,
-    so every candidate it enumerates starts unread."""
+    of hilbert_series."""
     reads = []
 
     def counted(basket, genus, cutoff, _fn=classify.hilbert_series):
         reads.append((basket, genus, cutoff))
         return _fn(basket, genus, cutoff)
 
-    classify._enumerate.cache_clear()
     monkeypatch.setattr(classify, "hilbert_series", counted)
-    yield reads
-    classify._enumerate.cache_clear()
+    return reads

@@ -221,6 +221,22 @@ class TestSeriesOnRead:
         assert c.read(40) == hilbert_series(c.basket, 2, 40)
         assert [h for *_, h in series_reads] == [2, 60]
 
+    def test_each_enumeration_builds_fresh_unread_candidates(
+        self, series_reads
+    ):
+        # series read from one enumeration are not held by the next
+        first = enumerate_candidates()
+        for c in first:
+            c.series
+        del series_reads[:]
+        again = enumerate_candidates()
+        assert again == first
+        assert all(a is not b for a, b in zip(again, first))
+        for c in again:
+            c.read(2)
+        assert len(series_reads) == len(again) == 1492
+        assert {h for *_, h in series_reads} == {2}
+
     def test_reads_compute_to_few_depths(self, series_reads):
         # every read past the series held computes exactly the degree
         # asked, whatever the cutoff; a read within it computes nothing

@@ -638,6 +638,35 @@ NOT_AT_STARTUP = {
 }
 
 
+#: Run with ``python -c CANDIDATE_PROBE ARGV...``: runs ``main(ARGV)``, then
+#: prints how many candidates are still alive after a full collection.
+CANDIDATE_PROBE = """
+import contextlib, gc, io, sys
+import fano2.cli
+from fano2.classify import Candidate
+with contextlib.redirect_stdout(io.StringIO()):
+    fano2.cli.main(sys.argv[1:])
+gc.collect()
+print(sum(type(o) is Candidate for o in gc.get_objects()))
+"""
+
+
+class TestNothingRetained:
+    @pytest.mark.parametrize(
+        "argv", [("enumerate", "--format", "json"), ("histogram", "--by", "genus")],
+        ids=" ".join,
+    )
+    def test_command_leaves_no_candidate_alive(self, argv):
+        # candidates are enumerated afresh on every call, so a command in
+        # a long-lived process keeps none once it returns
+        env = os.environ | {"PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", CANDIDATE_PROBE, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "0\n"
+
+
 class TestImportBudget:
     @staticmethod
     def loaded(*argv):

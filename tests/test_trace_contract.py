@@ -3,7 +3,9 @@
 ``perfbench/tracing.py`` wraps public functions by name and counts fields
 of their return values; ``perfbench/worker.py`` reads the cache counters
 of ``periodic_term``; ``perfbench/run.py`` fails a traced run in which a
-workload never calls a layer of its ``EXPECTED_CALLS``.  The modules are
+workload never calls a layer of its ``EXPECTED_CALLS``, and picks the
+``families`` queries from ``enumerate_candidates(2)``, whose fields
+``perfbench/checks.py`` compares with each answer.  The modules are
 loaded by path, or read as source, and left untouched, so an API change
 that would break the trace fails here first.
 """
@@ -15,6 +17,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -127,3 +130,19 @@ def test_each_workload_calls_every_layer_its_trace_expects(tracing, workload):
     totals = tracing.layer_totals(dump["spans"], dump["counts"],
                                   range(len(argvs)))
     tracing.require_calls(totals, expected[workload], workload)
+
+
+def test_families_queries_read_the_candidate_list():
+    # run_families seeds random.choice over enumerate_candidates(2), so the
+    # list keeps its length and canonical order at that cutoff; and
+    # check_inspect builds its expected answer from these fields
+    cands = enumerate_candidates(2)
+    assert len(cands) == 1492
+    assert [(c.basket, c.genus) for c in cands] == [
+        (c.basket, c.genus) for c in enumerate_candidates()]
+    for c in cands:
+        assert all(type(s.r) is int and type(s.a) is int for s in c.basket)
+        assert type(c.genus) is int
+        assert type(c.a3) is Fraction and c.a3 > 0
+        assert type(c.series[1]) is int
+        assert type(c.stable) is bool
