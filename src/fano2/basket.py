@@ -20,7 +20,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache
 from itertools import count, groupby, takewhile
 from math import gcd, lcm
 from typing import Iterable, NamedTuple
@@ -243,7 +242,6 @@ def _too_many(runs: list[tuple[SingularityType, int]]) -> BasketBoundError:
     return overweight(_text(merged), sum(s.cost * n for s, n in merged))
 
 
-@cache
 def singularity_universe() -> tuple[SingularityType, ...]:
     """All types whose load alone fits the bound, in (r, a) order: odd r
     while the cost (r^2 - 1)/r stays below BASKET_BOUND (so r <= 23), and

@@ -30,18 +30,23 @@ into integer pieces:
 
     h^0(nA) = [1 + n - 2C] + N C + sum_{s in B} Q_s(n),
 
-where Q_s is an integer table of one point of type s, cached per (type,
-cutoff) by :func:`_point_series`, with no per-basket denominator.
+where Q_s is an integer table of one point of type s, built by
+:func:`_point_series` with no per-basket denominator.
 
-Each integer table T_0..T_L-1 (the two unit tables per cutoff and Q_s per
-(type, cutoff)) is cached packed, as one Python int: its value at
-t = 2^64, sum T_k 2^(64 k), with negative T_k allowed, and beside it the
-bound max |T_k|.  Evaluation at 2^64 is a ring homomorphism Z[t] -> Z, so
-a series is a few big-int additions and one small multiply.  Its lanes
-are read back exactly while every coefficient is below 2^63 in absolute
-value, and the tables' bounds bound the series in O(points); past 2^63
-the same sum runs at 2^w for the narrowest multiple w of 64 bits that
-holds it (:func:`_lane_width`).
+A series to cutoff c is summed from tables of one depth class,
+L = :func:`_depth` (c), the least power of two above c, and only its
+first c + 1 coefficients are decoded.  The depth is decided here alone,
+so a process holds one table per type and depth class (and the two unit
+tables per class) however many cutoffs it reads: one class per bit
+length of those cutoffs.  Each integer table T_0..T_L-1 is cached
+packed, as one Python int: its value at t = 2^64, sum T_k 2^(64 k), with
+negative T_k allowed, and beside it the bound max |T_k|.  Evaluation at
+2^64 is a ring homomorphism Z[t] -> Z, so a series is a few big-int
+additions and one small multiply.  Its lanes are read back exactly
+while every coefficient is below 2^63 in absolute value, and the tables'
+bounds bound the series in O(points); past 2^63 the same sum runs at 2^w
+for the narrowest multiple w of 64 bits that holds it
+(:func:`_lane_width`).
 """
 
 from __future__ import annotations
@@ -52,7 +57,6 @@ from functools import cache
 from math import lcm
 
 from .basket import Basket, SingularityType, overweight
-from .basket import BasketBoundError  # noqa: F401  raised here, as before
 from .series import (
     DEFAULT_CUTOFF,
     NonIntegerSeriesError,
@@ -86,7 +90,8 @@ class PolarisationResidualError(ValueError):
 @cache
 def periodic_term(s: SingularityType, n: int) -> Fraction:
     """Periodic correction of the basket point s at nA; r-periodic in n,
-    vanishing when r divides n.
+    vanishing when r divides n.  Callers pass n mod r, so the cache holds
+    at most r values per type.
 
     The Fraction oracle of :func:`_periodic_table`, read by
     :func:`plurigenus` and the other Fraction forms only."""
@@ -122,7 +127,8 @@ def polarisation_residual(basket: Basket) -> Fraction:
     it, and this Fraction form is its oracle.
     """
     acz12 = acz12_from_basket(basket)  # first: it refuses a large index
-    return 1 + sum((periodic_term(s, -1) for s in basket), Fraction(0)) - acz12
+    per = sum((periodic_term(s, -1 % s.r) for s in basket), Fraction(0))
+    return 1 + per - acz12
 
 
 def base_degree(basket: Basket) -> Fraction:
@@ -166,6 +172,12 @@ LANE = 64
 Packed = tuple[int, int]
 
 
+def _depth(cutoff: int) -> int:
+    """The depth class of a cutoff: the least power of two above it, the
+    length of every table a series to that cutoff is summed from."""
+    return 1 << cutoff.bit_length()
+
+
 def _lane_width(bound: int) -> int:
     """The narrowest multiple of LANE bits whose signed lanes hold every
     integer of absolute value at most bound."""
@@ -173,14 +185,9 @@ def _lane_width(bound: int) -> int:
 
 
 @cache
-def _bias(length: int, width: int) -> int:
-    """2^(width-1) in each of length lanes of width bits."""
-    return ((1 << width * length) - 1) // ((1 << width) - 1) << (width - 1)
-
-
-@cache
-def _lanes(length: int) -> struct.Struct:
-    return struct.Struct(f"<{length}q")
+def _bias(depth: int, width: int) -> int:
+    """2^(width-1) in each of depth lanes of width bits."""
+    return ((1 << width * depth) - 1) // ((1 << width) - 1) << (width - 1)
 
 
 def _pack(table: Series, width: int) -> int:
@@ -195,21 +202,22 @@ def _pack(table: Series, width: int) -> int:
     return (int.from_bytes(raw, "little") ^ m) - m
 
 
-def _unpack(x: int, length: int, width: int) -> Series:
-    """The lanes of :func:`_pack`: exact while each is in range.
+def _unpack(x: int, depth: int, width: int, length: int) -> Series:
+    """The first length lanes of :func:`_pack` of a table of depth lanes:
+    exact while each is in range.
 
     Adding the bias makes every lane nonnegative with no carry between
     lanes, and flipping bit width-1 back leaves each in two's complement.
     Both steps name the byte order, so the host's does not matter.
     """
-    m = _bias(length, width)
-    raw = ((x + m) ^ m).to_bytes(width // 8 * length, "little")
+    m = _bias(depth, width)
+    raw = ((x + m) ^ m).to_bytes(width // 8 * depth, "little")
     if width == LANE:
-        return _lanes(length).unpack(raw)
+        return struct.unpack_from(f"<{length}q", raw)
     step = width // 8
     return tuple(
         int.from_bytes(raw[i : i + step], "little", signed=True)
-        for i in range(0, len(raw), step)
+        for i in range(0, step * length, step)
     )
 
 
@@ -218,20 +226,20 @@ def _packed(table: Series) -> Packed:
     return _pack(table, _lane_width(bound)), bound
 
 
-def _table(packed: Packed, length: int) -> Series:
-    """The coefficients of a packed table of the given length."""
+def _table(packed: Packed, depth: int) -> Series:
+    """The coefficients of a packed table of depth lanes."""
     x, bound = packed
-    return _unpack(x, length, _lane_width(bound))
+    return _unpack(x, depth, _lane_width(bound), depth)
 
 
 @cache
-def _unit_series(cutoff: int) -> tuple[Packed, Packed]:
+def _unit_series(depth: int) -> tuple[Packed, Packed]:
     """The genus-free polynomial part 1 + n - 2 C(n+2,3), expanded from
-    (1 - 4t + t^2)/(1-t)^4, and C(n+2,3) from t/(1-t)^4, up to cutoff;
-    both packed."""
+    (1 - 4t + t^2)/(1-t)^4, and C(n+2,3) from t/(1-t)^4, for
+    n = 0..depth-1; both packed."""
     return (
-        _packed(expand(RationalForm((1, -4, 1), (1, 1, 1, 1)), cutoff)),
-        _packed(expand(RationalForm((0, 1), (1, 1, 1, 1)), cutoff)),
+        _packed(expand(RationalForm((1, -4, 1), (1, 1, 1, 1)), depth - 1)),
+        _packed(expand(RationalForm((0, 1), (1, 1, 1, 1)), depth - 1)),
     )
 
 
@@ -268,8 +276,8 @@ def _type_constants(s: SingularityType) -> tuple[int, int, int]:
 
 
 @cache
-def _point_series(s: SingularityType, cutoff: int) -> Packed:
-    """Q_s(n) for n = 0..cutoff, packed: the integer share of one point of
+def _point_series(s: SingularityType, depth: int) -> Packed:
+    """Q_s(n) for n = 0..depth-1, packed: the integer share of one point of
     type s in h^0(nA), with C = C(n+2,3) read from the packed unit table,
     24 r per(s, n mod r) from :func:`_periodic_table` and the integers of
     :func:`_type_constants`,
@@ -290,14 +298,14 @@ def _point_series(s: SingularityType, cutoff: int) -> Packed:
     the series of any basket is a sum of integer tables.
 
     The table is built and checked as a list; only its packed value and
-    bound are cached.
+    bound are cached, one per type and depth class (:func:`_depth`).
     """
     r = s.r
     d = 24 * r
     cost, plus, _ = _type_constants(s)
     per = _periodic_table(s)
     out = []
-    for n, c in enumerate(_table(_unit_series(cutoff)[1], cutoff + 1)):
+    for n, c in enumerate(_table(_unit_series(depth)[1], depth)):
         x = per[n % r] - plus * c - cost * (n - c)
         q, rem = divmod(x, d)
         if rem:
@@ -393,13 +401,16 @@ def hilbert_series(
 
         h^0(nA) = [1 + n - 2C] + (genus + 2) C + sum_s Q_s(n),
 
-    with Q_s of :func:`_point_series`, cached per (type, cutoff).  Every
-    table is packed as its value at t = 2^64, so the whole series is the
-    one integer U + (genus + 2) C + sum_s Q_s, decoded once.  The tables'
-    bounds give max |U| + |genus + 2| max C + sum_s max |Q_s| as a bound
-    on every coefficient; when it reaches 2^63 the tables are repacked
-    at the :func:`_lane_width` of the bound and the sum runs there, so
-    the result is exact for every genus and cutoff.
+    with Q_s of :func:`_point_series`.  The tables are those of the
+    depth class :func:`_depth` (cutoff), each packed as its value at
+    t = 2^64, so the whole series is the one integer
+    U + (genus + 2) C + sum_s Q_s, of which the first cutoff + 1 lanes
+    are decoded.  The tables' bounds give
+    max |U| + |genus + 2| max C + sum_s max |Q_s| as a bound on every
+    coefficient of the class; when it reaches 2^63 the class tables are
+    repacked at the :func:`_lane_width` of the bound and the sum runs
+    there, so the result is exact for every genus and cutoff.  A
+    negative cutoff raises ValueError.
 
     :func:`scaled_degree` is read first, so an overweight basket, a
     nonzero polarisation residual and A^3 <= 0 raise
@@ -409,10 +420,12 @@ def hilbert_series(
     a consequence checked by the test suite.
     """
     scaled_degree(basket, genus)
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     n = genus + 2
-    length = cutoff + 1
-    units = _unit_series(cutoff)
-    points = [_point_series(s, cutoff) for s in basket]
+    depth = _depth(cutoff)
+    units = _unit_series(depth)
+    points = [_point_series(s, depth) for s in basket]
     (base, base_max), (cubes, cubes_max) = units
     width = _lane_width(
         base_max + abs(n) * cubes_max + sum([m for _, m in points])
@@ -421,9 +434,9 @@ def hilbert_series(
         points = [p for p, _ in points]
     else:
         base, cubes, *points = (
-            _pack(_table(t, length), width) for t in (*units, *points)
+            _pack(_table(t, depth), width) for t in (*units, *points)
         )
-    return _unpack(base + n * cubes + sum(points), length, width)
+    return _unpack(base + n * cubes + sum(points), depth, width, cutoff + 1)
 
 
 def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:
@@ -440,5 +453,5 @@ def plurigenus(basket: Basket, a3: Fraction, n: int) -> Fraction:
         1
         + Fraction(n * (n + f) * (2 * n + f), 12) * a3
         + n * acz12_from_basket(basket)
-        + sum((periodic_term(s, n) for s in basket), Fraction(0))
+        + sum((periodic_term(s, n % s.r) for s in basket), Fraction(0))
     )

@@ -19,16 +19,19 @@ def candidates():
 
 @pytest.fixture
 def fresh_invariants():
-    """Empty the per-basket cache of scaled_invariants and the per-type
-    caches behind it and behind the series (the integer periodic tables,
-    and the packed point tables of _point_series) around a test that
-    monkeypatches a constant they read, so that the patch is seen and
-    none of its values outlive the test."""
+    """Empty the per-basket cache of scaled_invariants and the caches
+    behind it and behind the series (the integer periodic tables per
+    type, and the packed point tables, unit tables and lane biases per
+    depth class) around a test that monkeypatches a constant they read,
+    so that the patch is seen and none of its values outlive the test,
+    or that counts the tables a run of reads keeps."""
     caches = (
         scaled_invariants,
         riemann_roch._periodic_table,
         riemann_roch._type_constants,
         riemann_roch._point_series,
+        riemann_roch._unit_series,
+        riemann_roch._bias,
     )
     for cached in caches:
         cached.cache_clear()

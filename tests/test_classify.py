@@ -13,6 +13,7 @@ import pytest
 
 from fano2.basket import (
     Basket,
+    BasketBoundError,
     SingularityType,
     enumerate_baskets,
     parse_basket,
@@ -34,7 +35,6 @@ from fano2.riemann_roch import (
     REJECTED,
     STABLE,
     UNSTABLE,
-    BasketBoundError,
     NonpositiveDegreeError,
     acz12_from_basket,
     base_degree,

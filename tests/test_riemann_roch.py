@@ -9,6 +9,7 @@ import pytest
 from fano2 import riemann_roch
 from fano2.basket import (
     Basket,
+    BasketBoundError,
     SingularityType,
     enumerate_baskets,
     parse_basket,
@@ -16,7 +17,6 @@ from fano2.basket import (
 )
 from fano2.classify import enumerate_candidates
 from fano2.riemann_roch import (
-    BasketBoundError,
     NonpositiveDegreeError,
     PolarisationResidualError,
     REJECTED,
@@ -76,6 +76,16 @@ class TestPeriodicTerm:
             for n in range(-r, r + 1):
                 assert periodic_term(s, n) == periodic_term(s, n + r)
             assert periodic_term(s, 0) == periodic_term(s, r) == 0
+
+    def test_fraction_forms_cache_one_term_per_residue(self):
+        # plurigenus, base_degree and polarisation_residual read the term
+        # at n mod r, so any number of degrees keeps at most r per type
+        periodic_term.cache_clear()
+        a3 = base_degree(TRIPLE)
+        for n in range(-1, 201):
+            plurigenus(TRIPLE, a3, n)
+        polarisation_residual(TRIPLE)
+        assert periodic_term.cache_info().currsize <= sum(s.r for s in TRIPLE)
 
 
 class TestPolarisationResidual:
@@ -261,9 +271,13 @@ class TestPackedTables:
             x = riemann_roch._pack(table, width)
             # the value at t = 2^width: a homomorphism Z[t] -> Z
             assert x == sum(t << width * k for k, t in enumerate(table))
-            decoded = riemann_roch._unpack(x, len(table), width)
+            decoded = riemann_roch._unpack(x, len(table), width, len(table))
             assert decoded == table
             assert all(type(t) is int for t in decoded)
+            # a prefix is read off the same value, as a series is off
+            # the sum of its depth class
+            prefix = riemann_roch._unpack(x, len(table), width, 1)
+            assert prefix == table[:1]
 
     def test_lane_width(self):
         assert riemann_roch._lane_width(0) == 64
@@ -342,21 +356,22 @@ class TestPointSeries:
             ), s
 
     def test_every_table_is_integral_and_extends(self):
-        # over the decoded tables: each is cached packed, with its bound
-        def table(s, cutoff):
-            packed = riemann_roch._point_series(s, cutoff)
-            decoded = riemann_roch._table(packed, cutoff + 1)
+        # over the decoded tables of three depth classes: each is cached
+        # packed, with its bound, and a deeper class extends a shallower
+        def table(s, depth):
+            packed = riemann_roch._point_series(s, depth)
+            decoded = riemann_roch._table(packed, depth)
             assert packed[1] == max(map(abs, decoded)), s
             return decoded
 
         for s in singularity_universe():
-            full = table(s, 600)
-            assert len(full) == 601
+            full = table(s, 1024)
+            assert len(full) == 1024
             assert all(type(q) is int for q in full), s
             assert full[:2] == (0, 0), s
-            short = table(s, 60)
-            assert table(s, 200)[:61] == short, s
-            assert full[:201] == table(s, 200), s
+            short = table(s, 64)
+            assert table(s, 256)[:64] == short, s
+            assert full[:256] == table(s, 256), s
 
     @pytest.mark.parametrize("cutoff", [60, 200])
     def test_match_scaled_series(self, cutoff):
@@ -374,6 +389,45 @@ class TestPointSeries:
             for g in (first, first + 10):
                 assert hilbert_series(b, g) == scaled_hilbert_series(b, g, 60), (
                     str(b), g)
+
+
+class TestDepthClasses:
+    def test_depth_is_the_least_power_of_two_above_the_cutoff(self):
+        depths = [riemann_roch._depth(c) for c in (0, 1, 2, 15, 16, 60, 64)]
+        assert depths == [1, 2, 4, 16, 32, 64, 128]
+
+    @pytest.mark.parametrize("cutoff", [0, 1, 15, 16, 63, 64, 127, 128])
+    @pytest.mark.parametrize(
+        "text, genus", [("3/1,5/1,11/3", -2), ("5/2,7/1", 3), ("3/1", 2**63)]
+    )
+    def test_series_at_class_edges_match_plurigenus(self, text, genus, cutoff):
+        # a cutoff just below or at a power of two reads the last lane of
+        # its class or the first of the next; genus 2^63 runs in wide lanes
+        basket = parse_basket(text)
+        a3 = base_degree(basket) + genus + 2
+        series = hilbert_series(basket, genus, cutoff)
+        assert len(series) == cutoff + 1
+        for n in range(cutoff + 1):
+            assert series[n] == plurigenus(basket, a3, n), n
+
+    def test_negative_cutoff_is_refused(self):
+        with pytest.raises(ValueError, match="cutoff must be >= 0"):
+            hilbert_series(TRIPLE, -2, -1)
+
+    def test_caches_hold_depth_classes_not_cutoffs(self, fresh_invariants):
+        # a long-lived process reading 1000 distinct cutoffs keeps one
+        # table per type and depth class: 64, 128, ..., 2048
+        a3 = base_degree(TRIPLE)
+        for cutoff in range(61, 1061):
+            series = hilbert_series(TRIPLE, -2, cutoff)
+            assert len(series) == cutoff + 1
+            for n in (cutoff % 61, cutoff):
+                assert series[n] == plurigenus(TRIPLE, a3, n), (cutoff, n)
+        classes = 1060 .bit_length()
+        assert riemann_roch._unit_series.cache_info().currsize <= classes
+        assert riemann_roch._point_series.cache_info().currsize <= (
+            classes * len(TRIPLE))
+        assert riemann_roch._bias.cache_info().currsize <= classes
 
 
 class TestPlurigenus:
