@@ -12,7 +12,9 @@ asked when it holds less (:meth:`Candidate.read`).  So a caller that
 prints three coefficients, a greedy pass whose first relation lies in its
 first prefix, or a numerator read to half its Gorenstein degree builds no
 more of the series than it reads.  The rule reads no cutoff: the cutoff
-says only how far records print.
+says only how far records print.  The JSON writer reads each candidate
+once, to its cutoff, and does not keep its series: the candidates it
+writes stay unread.
 
 Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
@@ -24,7 +26,6 @@ built by it again.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence, TextIO
@@ -79,7 +80,8 @@ class Candidate:
     The Hilbert series is computed on read: :meth:`read` returns it to
     any degree, computing exactly that degree when it holds less and
     keeping the deepest series computed so far; ``series`` is the series
-    to ``cutoff``, the degree records report.
+    to ``cutoff``, the degree records report.  :func:`write_json` reads
+    each candidate once, to its cutoff, and does not keep its series.
     Nothing else reads the cutoff: the same reads compute the same series
     whatever cutoff the candidate was built with.
     A candidate is read-only.  It compares, hashes, pickles and prints by
@@ -246,13 +248,34 @@ def candidate_record(c: Candidate) -> dict:
 
 
 def write_json(candidates: Sequence[Candidate], fp: TextIO) -> None:
-    """One JSON list of records.  Every series is read before any record
-    is built: the records are dropped once dumped, and series computed
-    in between would keep their memory resident, about a megabyte more
-    for ``enumerate --format json``."""
-    for c in candidates:
-        c.series
-    fp.write(json.dumps([candidate_record(c) for c in candidates]) + "\n")
+    """One JSON list of records: the text ``json.dumps`` writes for the
+    list of :func:`candidate_record` dicts, which is the reference the
+    records must match.  Each record is one ``%``-format of a template
+    with one ``%d`` per series coefficient.  Its series is computed to
+    the cutoff for the record and dropped, not held on the candidate, so
+    no series is kept and no integer gets a string of its own."""
+    templates: dict[int, str] = {}
+    fp.write("[")
+    for i, c in enumerate(candidates):
+        series = hilbert_series(c.basket, c.genus, c.cutoff)
+        template = templates.get(len(series))
+        if template is None:
+            template = templates[len(series)] = (
+                '{"basket": %s, "genus": %d, "A3": "%s", "Ac2_over_12": "%s", '
+                '"stable": %s, "h0_A": %d, "h0_2A": %d, "k3_obstructed": %s, '
+                '"series": [' + ", ".join(["%d"] * len(series)) + "]}")
+        fp.write((", " if i else "") + template % (
+            str([[s.r, s.a] for s in c.basket]),
+            c.genus,
+            ratio_text(c.a3_scaled, c.scale),
+            ratio_text(c.acz12_scaled, c.scale),
+            "true" if c.stable else "false",
+            series[1],
+            series[2],
+            "true" if c.k3_obstructed else "false",
+            *series,
+        ))
+    fp.write("]\n")
 
 
 def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:

@@ -328,6 +328,36 @@ class TestSerialisation:
             assert tuple(rec.keys()) == RECORD_FIELDS
             assert isinstance(rec["series"], list)
 
+    @staticmethod
+    def _assert_json_dumps_of_the_records(cands) -> None:
+        # candidate_record is the reference each formatted record matches;
+        # compared record by record, so a failure names the first that
+        # differs instead of diffing the whole text
+        buf = StringIO()
+        write_json(cands, buf)
+        want = json.dumps([candidate_record(c) for c in cands]) + "\n"
+        assert buf.getvalue().split("}, {") == want.split("}, {")
+
+    @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
+    def test_json_stream_is_json_dumps_of_the_records(self, cutoff):
+        cands = enumerate_candidates(cutoff)
+        for subset in (cands, [c for c in cands if c.stable],
+                       [c for c in cands if c.k3_obstructed], []):
+            self._assert_json_dumps_of_the_records(subset)
+
+    def test_json_stream_writes_wide_integers_as_json_does(self):
+        c = Candidate(parse_basket("3/1"), 2**63, 60)
+        assert max(c.series).bit_length() > 64
+        self._assert_json_dumps_of_the_records([c])
+
+    def test_json_stream_reads_each_candidate_once_and_keeps_nothing(
+        self, series_reads
+    ):
+        cands = enumerate_candidates(16) + enumerate_candidates(60)[::7]
+        write_json(cands, StringIO())
+        assert series_reads == [(c.basket, c.genus, c.cutoff) for c in cands]
+        assert all(c._held == () for c in cands)
+
     def test_csv_round_trip(self, candidates):
         sample = list(candidates[::211])
         buf = StringIO()

@@ -474,6 +474,39 @@ class TestCertification:
             assert expand(form, 200) == hilbert_series(c.basket, c.genus, 200), (
                 c.basket, c.genus)
 
+    def test_every_numerator_expands_to_the_series_to_a_proven_degree(
+        self, models
+    ):
+        """A model m is the series itself once the two agree through
+        d(m) = sum(w) + sum of the distinct r + 3.
+
+        K_X = -2A, so nA - K_X = (n + 2)A is ample for n >= -1 and
+        Kawamata-Viehweg vanishing gives h^0(nA) = chi(nA) for n >= 0.
+        By Riemann-Roch, chi(nA) is a cubic in n plus, for each point, a
+        term periodic in n mod r.  So the series is
+        P_X = Q / ((1 - t)^4 prod_{distinct r} (1 - t^r)) with
+        deg Q <= 3 + sum_{distinct r} r.  The model's numerator N has
+        degree sum(w) - 2, so both sides of
+        N (1 - t)^4 prod (1 - t^r) = Q prod_w (1 - t^w)
+        are polynomials of degree at most d(m).  They are the series
+        N / prod_w (1 - t^w) and P_X, each times the one polynomial
+        (1 - t)^4 prod (1 - t^r) prod_w (1 - t^w), so their coefficients
+        through d(m) are fixed by the two series through d(m): if the
+        series agree that far, the polynomials are equal and
+        N / prod_w (1 - t^w) = P_X in every degree.
+        """
+        bounds = {}
+        for c, m in models:
+            d = sum(m.weights) + sum({s.r for s in c.basket}) + 3
+            assert poly_degree(m.numerator) == sum(m.weights) - 2
+            form = RationalForm(m.numerator, m.weights)
+            assert expand(form, d) == hilbert_series(c.basket, c.genus, d), (
+                c.basket, c.genus)
+            bounds[str(c.basket), c.genus] = d
+        # the deepest bound lies past the degree 200 read above
+        deepest = max(bounds, key=bounds.get)
+        assert (deepest, bounds[deepest]) == (("3/1,5/1,7/2,9/1", -2), 206)
+
     def test_pairs_past_the_degree_cap_are_certified(self, candidates):
         # inspect also answers for pairs past the degree cap: their greedy
         # passes meet a relation by the default cutoff, and the numerator
