@@ -274,51 +274,42 @@ def cmd_verify_tables(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
+def _table(fmt: str, header, widths, rows, total) -> list[str]:
+    """The header and one line per row: comma-separated in CSV, and in
+    text right-aligned to the widths, with the ``total`` row last."""
+    if fmt == "csv":
+        return [",".join(map(str, row)) for row in (header, *rows)]
+    header = [h.replace("_", " ") for h in header]
+    return [" ".join(f"{v!s:>{w}}" for v, w in zip(row, widths))
+            for row in (header, *rows, total)]
+
+
 def cmd_histogram(args: argparse.Namespace) -> int:
     cands = enumerate_candidates(args.cutoff, stable_only=args.stable)
-    buf = StringIO()
+    text = args.format == "text"  # the footer lines are text only
     if args.by == "genus":
         rows = genus_histogram(cands)
-        if args.format == "csv":
-            buf.write("genus,total,unstable,min_A3,max_A3\n")
-            for r in rows:
-                buf.write(f"{r.genus},{r.total},{r.unstable},{r.min_a3},{r.max_a3}\n")
-        else:
-            buf.write(f"{'genus':>6} {'total':>6} {'unstable':>9} "
-                      f"{'min A3':>10} {'max A3':>10}\n")
-            for r in rows:
-                buf.write(f"{r.genus:>6d} {r.total:>6d} {r.unstable:>9d} "
-                          f"{r.min_a3!s:>10} {r.max_a3!s:>10}\n")
-            total = sum(r.total for r in rows)
-            unstable = sum(r.unstable for r in rows)
-            buf.write(f"{'sum':>6} {total:>6d} {unstable:>9d}\n")
-            buf.write(f"distinct series: {distinct_series_count(cands)}\n")
+        lines = _table(
+            args.format, ("genus", "total", "unstable", "min_A3", "max_A3"),
+            (6, 6, 9, 10, 10), rows,
+            ("sum", sum(r.total for r in rows), sum(r.unstable for r in rows)))
+        if text:
+            lines.append(f"distinct series: {distinct_series_count(cands)}")
     else:
         # K3-obstructed candidates have no K3 section to compare against,
         # so they are excluded, matching the reference's population.
-        models = [corrected_inference(c) for c in cands if not c.k3_obstructed]
-        ours = Counter(m.codim for m in models)
-        keys = sorted(set(ours) | set(REFERENCE_CODIM_COUNTS))
-        if args.format == "csv":
-            buf.write("codim,inferred,reference\n")
-            for k in keys:
-                buf.write(f"{k},{ours.get(k, 0)},{REFERENCE_CODIM_COUNTS.get(k, 0)}\n")
-        else:
-            buf.write(f"{'codim':>6} {'inferred':>9} {'reference':>10}\n")
-            for k in keys:
-                buf.write(f"{k:>6d} {ours.get(k, 0):>9d} "
-                          f"{REFERENCE_CODIM_COUNTS.get(k, 0):>10d}\n")
-            buf.write(
-                f"{'sum':>6} {sum(ours.values()):>9d} "
-                f"{sum(REFERENCE_CODIM_COUNTS.values()):>10d}\n"
-            )
-            buf.write(
-                f"excluded (K3-obstructed): "
-                f"{sum(1 for c in cands if c.k3_obstructed)}\n"
-                "reference counts come from a K3-database comparison and "
-                "are a guide, not ground truth\n"
-            )
-    _emit(args, buf.getvalue())
+        ours = Counter(corrected_inference(c).codim
+                       for c in cands if not c.k3_obstructed)
+        ref = REFERENCE_CODIM_COUNTS
+        lines = _table(
+            args.format, ("codim", "inferred", "reference"), (6, 9, 10),
+            [(k, ours[k], ref.get(k, 0)) for k in sorted(set(ours) | set(ref))],
+            ("sum", ours.total(), sum(ref.values())))
+        if text:
+            lines += [f"excluded (K3-obstructed): {len(cands) - ours.total()}",
+                      "reference counts come from a K3-database comparison "
+                      "and are a guide, not ground truth"]
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 

@@ -322,7 +322,8 @@ def pfaffian_numerator(degrees: Sequence[int]) -> IntPoly:
 
 #: The format of each low codimension: its number of relations, the
 #: numerator formula over the relation degrees, and the shape it names.
-_FORMATS = {
+#: :func:`classify_shape` and the reference tables read it.
+FORMATS = {
     1: (1, ci_numerator, HYPERSURFACE),
     2: (2, ci_numerator, CODIM2_CI),
     3: (5, pfaffian_numerator, CODIM3_PFAFFIAN),
@@ -344,9 +345,9 @@ def classify_shape(weights: Sequence[int], numerator: Sequence[int]) -> str:
     codim = len(weights) - 4
     if codim >= 4:
         return CODIM_GE4
-    if codim not in _FORMATS:
+    if codim not in FORMATS:
         return UNKNOWN
-    count, formula, shape = _FORMATS[codim]
+    count, formula, shape = FORMATS[codim]
     num = poly(numerator)
     negatives = (d for d, c in enumerate(num) for _ in range(-c))
     relations = list(islice(negatives, count))

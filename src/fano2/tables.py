@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .basket import Basket, parse_basket
 from .classify import Candidate
-from .graded_rings import ci_numerator, corrected_inference, pfaffian_numerator
+from .graded_rings import FORMATS, corrected_inference
 from .riemann_roch import acz12_from_basket, base_degree
 from .series import (
     DEFAULT_CUTOFF,
@@ -51,7 +51,9 @@ class FixtureIntegrityError(RuntimeError):
 
 
 class TableEntry(NamedTuple):
-    """One row of the reference tables."""
+    """One row of the reference tables.  ``relation_degrees`` are the
+    degrees of the row's equations, read from the fixture's ``relations``
+    (tables 1 and 2) or ``pfaffians`` (table 3) key."""
 
     table_id: int
     label: str
@@ -60,7 +62,6 @@ class TableEntry(NamedTuple):
     a3: Fraction
     acz12: Fraction
     relation_degrees: tuple[int, ...] | None = None
-    pfaffian_degrees: tuple[int, ...] | None = None
     numerator_prefix: tuple[int, ...] | None = None
     numerator_top_degree: int | None = None
 
@@ -97,6 +98,7 @@ def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
         )
     entries = []
     for rec in json.loads(raw.decode()):
+        degrees = rec.get("relations", rec.get("pfaffians"))
         entries.append(
             TableEntry(
                 table_id=rec["table"],
@@ -105,8 +107,7 @@ def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
                 basket=parse_basket(rec["basket"]),
                 a3=Fraction(rec["A3"]),
                 acz12=Fraction(rec["Ac2_over_12"]),
-                relation_degrees=tuple(rec["relations"]) if "relations" in rec else None,
-                pfaffian_degrees=tuple(rec["pfaffians"]) if "pfaffians" in rec else None,
+                relation_degrees=None if degrees is None else tuple(degrees),
                 numerator_prefix=tuple(rec["numerator_prefix"]) if "numerator_prefix" in rec else None,
                 numerator_top_degree=rec.get("numerator_top_degree"),
             )
@@ -115,12 +116,12 @@ def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
 
 
 def model_numerator(entry: TableEntry) -> IntPoly | None:
-    """The tabulated Hilbert numerator, when the table carries one."""
-    if entry.relation_degrees is not None:
-        return ci_numerator(entry.relation_degrees)
-    if entry.pfaffian_degrees is not None:
-        return pfaffian_numerator(entry.pfaffian_degrees)
-    return None
+    """The tabulated Hilbert numerator, when the table carries one: the
+    formula of the row's codimension over its relation degrees."""
+    if entry.relation_degrees is None:
+        return None
+    _, formula, _ = FORMATS[len(entry.weights) - 4]
+    return formula(entry.relation_degrees)
 
 
 def entry_genus(entry: TableEntry) -> int:
