@@ -23,8 +23,9 @@ series = hilbert_series(basket, -1, cutoff=60)
 weights, numerator = infer_generators(series)
 print(f"greedy weights      {weights}")
 print(f"greedy numerator    {poly_str(numerator)}")
-print(f"residue gaps        {polarization_gaps(weights, basket)}")
-model = corrected_inference(Candidate(basket, -1))
+candidate = Candidate(basket, -1)
+print(f"residue gaps        {polarization_gaps(weights, basket, candidate.read)}")
+model = corrected_inference(candidate)
 print(f"corrected weights   {model.weights}  -> codim {model.codim}")
 
 # Index 9, genus 1: three generators in degree 1, two more in degree 2,

@@ -12,9 +12,9 @@ asked when it holds less (:meth:`Candidate.read`).  So a caller that
 prints three coefficients, a greedy pass whose first relation lies in its
 first prefix, or a numerator read to half its Gorenstein degree builds no
 more of the series than it reads.  The rule reads no cutoff: the cutoff
-says only how far records print.  The JSON writer reads each candidate
-once, to its cutoff, and does not keep its series: the candidates it
-writes stay unread.
+says only how far records print.  The JSON and CSV writers read each
+candidate once, to its cutoff, and do not keep its series: the
+candidates they write stay unread.
 
 Candidates are written as JSON records and CSV rows with a fixed field
 order; rationals are written as exact ``p/q`` strings, never floats.
@@ -80,8 +80,9 @@ class Candidate:
     The Hilbert series is computed on read: :meth:`read` returns it to
     any degree, computing exactly that degree when it holds less and
     keeping the deepest series computed so far; ``series`` is the series
-    to ``cutoff``, the degree records report.  :func:`write_json` reads
-    each candidate once, to its cutoff, and does not keep its series.
+    to ``cutoff``, the degree records report.  :func:`write_json` and
+    :func:`write_csv` read each candidate once, to its cutoff, and do not
+    keep its series.
     Nothing else reads the cutoff: the same reads compute the same series
     whatever cutoff the candidate was built with.
     A candidate is read-only.  It compares, hashes, pickles and prints by
@@ -280,13 +281,15 @@ def write_json(candidates: Sequence[Candidate], fp: TextIO) -> None:
 
 def write_csv(candidates: Iterable[Candidate], fp: TextIO) -> None:
     """CSV with the JSON field order; basket in r/a text syntax, series as
-    space-separated integers."""
+    space-separated integers.  Each record is read from a fresh copy of
+    its candidate, which is dropped with its series, so the candidates
+    written stay unread, as :func:`write_json` leaves them."""
     import csv  # only this writer needs it
 
     writer = csv.DictWriter(fp, RECORD_FIELDS, lineterminator="\n")
     writer.writeheader()
     for c in candidates:
-        rec = candidate_record(c)
+        rec = candidate_record(Candidate(c.basket, c.genus, c.cutoff))
         writer.writerow(rec | {
             "basket": str(c.basket),
             "series": " ".join(str(x) for x in rec["series"]),

@@ -12,11 +12,12 @@ invisible to it (a known, documented limitation).
 A basket point 1/r(a, -a, 2) additionally forces ambient weights whose
 residues mod r cover {0, a, r-a, 2}: the local coordinates and a local
 equation all need polarising variables.  Missing residues are seeded
-(never removed) at their smallest positive representatives until the
-coverage holds; the codimension is then a lower bound.  This needs no
-second pass: no weight sits in a gap degree g, so a pass whose first
-relation lies past g read a zero there, and rerun with the seeds it
-would read the same below the lowest gap g0, then -(seeds at g0) < 0.
+(never removed) at their smallest positive representatives in degrees
+with sections until the coverage holds; the codimension is then a lower
+bound.  This needs no second pass: no weight sits in a gap degree g, so
+a pass whose first relation lies past g read a zero there, and rerun
+with the seeds it would read the same below the lowest gap g0, then
+-(seeds at g0) < 0.
 
 The pass stops at its first relation, so it reads only a prefix of the
 series: to degree FIRST_PREFIX, then to DEFAULT_CUTOFF, doubling from
@@ -27,7 +28,8 @@ Gorenstein symmetry forces sum(w) = 2 with four weights, and with five
 or more outgrows the cubic growth of h^0(nA).  The pass reads through
 :meth:`~fano2.classify.Candidate.read`, which computes exactly the
 degree asked past the series held, so a candidate computes no more of
-its series than the pass and the numerator read.
+its series than the pass, the seeds' section checks and the numerator
+read.
 
 A model is a function of its candidate's basket and genus alone, and so
 are the degrees it reads: neither the pass nor the numerator reads the
@@ -192,20 +194,32 @@ def infer_generators(
     return found
 
 
-def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
+def polarization_gaps(
+    weights: Sequence[int], basket: Basket, read: Callable[[int], Series]
+) -> list[int]:
     """Degrees that must be adjoined so every basket point is polarised.
 
     Each point 1/r(a, -a, 2) needs the residues {0, a, r-a, 2} mod r
-    among the weights (coinciding residues may share a witness).  Gaps
-    are filled by the smallest positive representative, smaller residues
-    first, points in canonical order; a gap added for one point counts
-    for the later ones.
+    among the weights (coinciding residues may share a witness).  A gap
+    is filled by the smallest positive d of its residue with sections,
+    h^0(dA) > 0, read off the series through ``read`` (the candidate's
+    :meth:`~fano2.classify.Candidate.read`), stepping d by r past degrees
+    with none: a generator of a degree without sections would be zero.
+    The steps end, since h^0(dA) grows like A^3 d^3 / 6 with A^3 > 0.
+    Smaller residues go first, points in canonical order, and a gap added
+    for one point counts for the later ones.  When the weights include
+    1, no degree is read: a generator x of degree 1 is a nonzero element
+    of the domain R(X, A) = sum_n H^0(X, nA), so x^d != 0 in H^0(dA) and
+    every degree d >= 0 has sections.
 
     Seeding rounds are arithmetic (see :func:`corrected_inference`) on
     two premises, which a new seeding rule must keep or re-derive: no gap
     is the degree of a given weight, and ``weights + gaps`` has no gaps.
+    Both hold here, since a gap is only ever taken for a residue that no
+    weight has, and every missing residue gets one.
     """
     have = list(weights)
+    sections = 1 in have  # then every degree has sections
     gaps: list[int] = []
     for s in basket:  # a repeated point finds its residues present
         r = s.r
@@ -213,6 +227,8 @@ def polarization_gaps(weights: Sequence[int], basket: Basket) -> list[int]:
         for residue in _required_residues(r, s.a):
             if residue not in present:
                 degree = residue if residue > 0 else r
+                while not sections and read(degree)[degree] == 0:
+                    degree += r
                 gaps.append(degree)
                 have.append(degree)
     return gaps
@@ -263,6 +279,8 @@ def corrected_inference(c: Candidate) -> GradedModel:
     The pass reads prefixes to FIRST_PREFIX and then to DEFAULT_CUTOFF
     (see :func:`_prefixes`), so on a candidate nobody has read it computes
     the series to 8, and to 60 only when its first relation lies past 8;
+    with no weight 1, a seed reads h^0 at its degree, past those prefixes
+    only when the degree lies past them (see :func:`polarization_gaps`);
     the numerator reads to half the Gorenstein degree, and computes the
     series only when that lies past the prefixes read.  None of this
     reads the candidate's cutoff, so the model of a candidate nobody has
@@ -274,7 +292,7 @@ def corrected_inference(c: Candidate) -> GradedModel:
     seeded: list[int] = []
     # Seeds are permanent: 4 residues per distinct type bound the rounds.
     for _ in range(4 * len(set(c.basket)) + 2):
-        gaps = polarization_gaps(organic + seeded, c.basket)
+        gaps = polarization_gaps(organic + seeded, c.basket, c.read)
         if not gaps:
             break
         seeded += gaps

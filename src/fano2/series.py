@@ -26,10 +26,12 @@ from fractions import Fraction
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
+from .basket import Basket
+
 #: Default truncation degree for series work: the cutoff that is printed
-#: unless another is asked for, and the degree every reference table row
-#: is cut at.  Graded models read the series as deep as they need,
-#: whatever the cutoff.
+#: unless another is asked for, and the least degree a reference table
+#: row is compared through.  Graded models read the series as deep as
+#: they need, whatever the cutoff.
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]
@@ -258,6 +260,26 @@ def numerator_wrt_weights(
     return gorenstein_completion(
         series_times_weights(series[: half + 1], weights), weights
     )
+
+
+def certificate_degree(basket: Basket, weights: Sequence[int]) -> int:
+    """d = sum(w) + sum of the distinct r + 3: a numerator N of degree at
+    most sum(w) - 2 gives the Hilbert series P_X of the basket exactly
+    when N / prod_w (1 - t^w) and P_X agree through degree d.
+
+    K_X = -2A, so nA - K_X = (n + 2)A is ample for n >= -1 and
+    Kawamata-Viehweg vanishing gives h^0(nA) = chi(nA) for n >= 0.  By
+    Riemann-Roch, chi(nA) is a cubic in n plus, for each point, a term
+    periodic in n mod r.  So P_X = Q / ((1 - t)^4 prod_{distinct r}
+    (1 - t^r)) with deg Q <= 3 + sum_{distinct r} r.  Both sides of
+    N (1 - t)^4 prod (1 - t^r) = Q prod_w (1 - t^w) are then polynomials
+    of degree at most d.  They are the series N / prod_w (1 - t^w) and
+    P_X, each times the one polynomial (1 - t)^4 prod (1 - t^r)
+    prod_w (1 - t^w), so their coefficients through d are fixed by the
+    two series through d: if the series agree that far, the polynomials
+    are equal and N / prod_w (1 - t^w) = P_X in every degree.
+    """
+    return sum(weights) + sum({s.r for s in basket}) + 3
 
 
 def degree_from_form(form: RationalForm) -> Fraction:

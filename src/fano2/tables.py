@@ -12,8 +12,10 @@ For every entry, :func:`verify_table_entry` re-derives everything from
 the basket alone and compares: the series against the closed form of the
 row's numerator, the degree of that form, A c2 / 12, the ambient weights
 recovered by generator inference, and the Gorenstein symmetry of the
-numerator.  Every row's series is cut at the default degree 60, past
-the deepest Gorenstein degree in the tables (51).
+numerator.  Each row's series is compared through the larger of the
+default degree 60 and the row's proven degree
+(:func:`~fano2.series.certificate_degree`), through which agreement
+makes the row's closed form the series itself; the deepest is 73.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .series import (
     DEFAULT_CUTOFF,
     IntPoly,
     RationalForm,
+    certificate_degree,
     degree_from_form,
     expand,
     numerator_wrt_weights,
@@ -140,23 +143,23 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
     The numerator is the tabulated one in tables 1-3 and, in table 4, the
     Gorenstein numerator read off the series over the row's weights.  It
     passes ``series`` when its degree is at most sum(weights) - 2 and its
-    closed form expands to the series (and it matches a tabulated
-    prefix).  ``degree`` and ``palindromy`` need the same, so a wrong row
+    closed form expands to the series through the larger of
+    DEFAULT_CUTOFF and the proven degree, which makes it the series
+    itself (and it matches a tabulated prefix).  ``degree`` and ``palindromy`` need the same, so a wrong row
     fails them rather than raising; ``palindromy`` asks for the Gorenstein
     symmetry about sum(weights) - 2 with sign (-1)^codim.
     """
     report = CheckReport(entry=entry)
     c = Candidate(entry.basket, entry_genus(entry), DEFAULT_CUTOFF)
+    cut = max(DEFAULT_CUTOFF, certificate_degree(entry.basket, entry.weights))
+    series = c.read(cut)
 
     numerator = model_numerator(entry)
     if numerator is None:
-        numerator = numerator_wrt_weights(c.series, entry.weights)
+        numerator = numerator_wrt_weights(series, entry.weights)
     form = RationalForm(numerator, entry.weights)
     top = sum(entry.weights) - 2
-    reproduces = (
-        poly_degree(numerator) <= top
-        and expand(form, DEFAULT_CUTOFF) == c.series
-    )
+    reproduces = poly_degree(numerator) <= top and expand(form, cut) == series
     report.checks["series"] = reproduces
     if not reproduces:
         report.notes.append("series mismatch against the row's numerator")

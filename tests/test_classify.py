@@ -358,6 +358,14 @@ class TestSerialisation:
         assert series_reads == [(c.basket, c.genus, c.cutoff) for c in cands]
         assert all(c._held == () for c in cands)
 
+    def test_csv_stream_reads_each_candidate_once_and_keeps_nothing(
+        self, series_reads
+    ):
+        cands = enumerate_candidates(16) + enumerate_candidates(60)[::7]
+        write_csv(cands, StringIO())
+        assert series_reads == [(c.basket, c.genus, c.cutoff) for c in cands]
+        assert all(c._held == () for c in cands)
+
     def test_csv_round_trip(self, candidates):
         sample = list(candidates[::211])
         buf = StringIO()

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from io import StringIO
 from pathlib import Path
 
@@ -14,7 +15,14 @@ import pytest
 import fano2
 from fano2 import riemann_roch
 from fano2.cli import build_parser, main, parse_args
-from fano2.graded_rings import FIRST_PREFIX, infer_generators
+from fano2.classify import Candidate
+from fano2.graded_rings import (
+    FIRST_PREFIX,
+    corrected_inference,
+    infer_generators,
+)
+from fano2.series import certificate_degree
+from fano2.tables import load_table_entries
 
 #: SHA-256 of ``enumerate --format json``: "same results" across
 #: refactors means this exact byte stream.
@@ -416,23 +424,32 @@ class TestSeriesReads:
     ):
         # A greedy pass stops at its first relation, so it computes the
         # series to FIRST_PREFIX and, when that prefix runs out, to the
-        # default cutoff 60, which holds it for every candidate, and a
+        # default cutoff 60, which holds it for every candidate.  A model
+        # with no weight 1 (h^0(A) = 0) then reads h^0(dA) at seed degrees
+        # past those prefixes, no deeper than its deepest seed.  A
         # K3-obstructed candidate computes none.
         run(capsys, "histogram", "--by", "codim")
+        assert len(series_reads) == 1493
+        assert sum(h + 1 for *_, h in series_reads) == 17574
         depths = {}
         for basket, genus, h in series_reads:
             depths.setdefault((basket, genus), []).append(h)
         assert len(depths) == 1319
+        checked = 0
         for (basket, genus), hs in depths.items():
             assert basket.singular_rank < 20
             _, numerator = infer_generators(
                 riemann_roch.hilbert_series(basket, genus, 200))
             stop = next(d for d, k in enumerate(numerator) if k < 0)
-            assert hs == [FIRST_PREFIX, 60][: len(hs)]
-            assert stop <= hs[-1]
-            assert len(hs) == 1 or stop > hs[-2]
-        assert len(series_reads) == 1392
-        assert sum(h + 1 for *_, h in series_reads) == 16324
+            passes = 1 if stop <= FIRST_PREFIX else 2
+            assert hs[:passes] == [FIRST_PREFIX, 60][:passes]
+            if hs[passes:]:
+                model = corrected_inference(Candidate(basket, genus))
+                assert 1 not in model.weights
+                assert hs[passes - 1:] == sorted(set(hs[passes - 1:]))
+                assert hs[-1] <= max(model.seeded)
+                checked += 1
+        assert checked == 97
 
     def test_k3_obstructions_reads_no_series(self, capsys, series_reads):
         run(capsys, "k3-obstructions")
@@ -477,11 +494,15 @@ class TestSeriesReads:
         assert [h for *_, h in series_reads] == depths
 
     def test_verify_tables_reads_each_row_once(self, capsys, series_reads):
-        # every row is cut at degree 60, and its model reads within that
+        # every row is compared through the larger of 60 and its proven
+        # degree, and its model reads within that
         code, _, _ = run(capsys, "verify-tables")
         assert code == 1
-        assert len(series_reads) == 71
-        assert {h for *_, h in series_reads} == {60}
+        assert [h for *_, h in series_reads] == [
+            max(60, certificate_degree(e.basket, e.weights))
+            for e in load_table_entries()]
+        assert Counter(h > 60 for *_, h in series_reads) == {
+            False: 61, True: 10}
 
 
 class TestK3Obstructions:

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from fano2.riemann_roch import hilbert_series
 from fano2.series import (
     DEFAULT_CUTOFF,
     RationalForm,
+    certificate_degree,
     degree_from_form,
     expand,
     gorenstein_completion,
@@ -85,18 +87,73 @@ class TestInferGenerators:
 
 class TestPolarizationGaps:
     def test_missing_residue_nine_mod_eleven(self):
-        gaps = polarization_gaps((1, 2, 2, 2, 3, 5, 11), parse_basket("11/2"))
+        c = Candidate(parse_basket("11/2"), -1)
+        gaps = polarization_gaps((1, 2, 2, 2, 3, 5, 11), c.basket, c.read)
         assert gaps == [9]
 
     def test_no_gaps_for_degree38_weights(self):
-        basket = parse_basket("3/1,5/1,11/3")
-        assert polarization_gaps((2, 3, 5, 11, 19), basket) == []
+        c = Candidate(parse_basket("3/1,5/1,11/3"), -2)
+        assert polarization_gaps((2, 3, 5, 11, 19), c.basket, c.read) == []
 
     def test_empty_basket_needs_nothing(self):
-        assert polarization_gaps((1, 1, 1, 1, 1), Basket()) == []
+        c = Candidate(Basket(), 3)
+        assert polarization_gaps((1, 1, 1, 1, 1), c.basket, c.read) == []
 
     def test_zero_residue_filled_by_r_itself(self):
-        assert polarization_gaps((1, 2, 8), parse_basket("9/1")) == [9]
+        c = Candidate(parse_basket("9/1"), 1)
+        assert polarization_gaps((1, 2, 8), c.basket, c.read) == [9]
+
+    def test_degree_without_sections_is_stepped_past(self, series_reads):
+        # h^0(A) = 0 at genus -2, so residue 1 mod 7 is seeded in degree 8,
+        # not 1; residues 0 and 6 have sections in degrees 7 and 6
+        c = Candidate(parse_basket("6x3/1,7/1"), -2)
+        assert c.read(8)[1] == 0 and c.read(8)[6:9] == (25, 36, 52)
+        del series_reads[:]
+        assert polarization_gaps((2,), parse_basket("7/1"), c.read) == [7, 8, 6]
+        # with a weight 1 every degree has sections, and none is read
+        fresh = Candidate(c.basket, c.genus)
+        assert polarization_gaps((1, 2), parse_basket("7/1"), fresh.read) == [7, 6]
+        assert series_reads == [] and fresh._held == ()
+
+    def test_shortcut_picks_the_seeds_of_reading_every_degree(
+        self, candidates, monkeypatch
+    ):
+        # a weight 1 skips the section check; in every seeding round of
+        # every model, at and past the degree cap, the gaps are those of
+        # the rule that reads h^0(dA) at each seed degree
+        def read_every_degree(weights, basket, read):
+            have, gaps = list(weights), []
+            for s in basket:
+                present = {w % s.r for w in have}
+                for residue in sorted({0, s.a % s.r, -s.a % s.r, 2 % s.r}):
+                    if residue not in present:
+                        d = residue or s.r
+                        while read(d)[d] == 0:
+                            d += s.r
+                        gaps.append(d)
+                        have.append(d)
+            return gaps
+
+        rounds = []
+        gaps = graded_rings.polarization_gaps
+
+        def checked(weights, basket, read):
+            found = gaps(weights, basket, read)
+            assert found == read_every_degree(weights, basket, read)
+            rounds.append(1 in weights)
+            return found
+
+        monkeypatch.setattr(graded_rings, "polarization_gaps", checked)
+        top = {}
+        for c in candidates:
+            corrected_inference(c)
+            top[c.basket] = max(c.genus, top.get(c.basket, -2))
+        for basket, genus in top.items():
+            for g in (genus + 1, genus + 2, genus + 3):
+                corrected_inference(Candidate(basket, g))
+        # 1492 + 3 * 721 models; both rules run in the rounds counted
+        assert len(top) == 721
+        assert Counter(rounds) == {True: 3566, False: 368}
 
     def test_premises_of_arithmetic_seeding_hold_in_every_round(
         self, candidates
@@ -110,16 +167,17 @@ class TestPolarizationGaps:
             seeded = []
             for n in range(4 * len(set(c.basket)) + 2):
                 weights, _ = infer_generators(c.series, seeded)
-                gaps = polarization_gaps(weights, c.basket)
+                gaps = polarization_gaps(weights, c.basket, c.read)
                 if not gaps:
                     break
                 assert not set(gaps) & set(weights), c
-                assert polarization_gaps(weights + tuple(gaps), c.basket) == []
+                assert polarization_gaps(
+                    weights + tuple(gaps), c.basket, c.read) == []
                 seeded.extend(gaps)
             rounds[n] += 1
         # seeding rounds per model; a seed can displace a generator read
         # before and so open a new gap
-        assert rounds == {0: 118, 1: 1305, 2: 69}
+        assert rounds == {0: 118, 1: 1373, 2: 1}
 
 
 class TestCorrectedInference:
@@ -174,7 +232,8 @@ def full_series_inference(c):
     seeded = []
     for _ in range(4 * len(set(c.basket)) + 2):
         weights, numerator = infer_generators(series, seeded=seeded)
-        gaps = polarization_gaps(weights, c.basket)
+        gaps = polarization_gaps(
+            weights, c.basket, partial(hilbert_series, c.basket, c.genus))
         if not gaps:
             break
         seeded.extend(gaps)
@@ -278,24 +337,27 @@ class TestPrefixPasses:
         # Each candidate's series is read to the cutoff first, as records
         # and `inspect` read it.  Its model then computes the series again
         # only past the degree held, each time deeper, and each time to a
-        # prefix of the pass (8 or 60) or to the numerator's half
-        # Gorenstein degree exactly.  At the default cutoff only the 13
-        # numerators whose half Gorenstein degree lies past 60 do, all of
-        # K3-obstructed candidates.
+        # prefix of the pass (8 or 60), to the numerator's half Gorenstein
+        # degree exactly, or, in a model with no weight 1, to a seed
+        # degree whose sections it checks, no deeper than its deepest
+        # seed.  At the default cutoff only the 13 numerators whose half
+        # Gorenstein degree lies past 60 do, all of K3-obstructed
+        # candidates.
         cands = enumerate_candidates(cutoff)
         for c in cands:
             c.series
         assert len(series_reads) == 1492
         del series_reads[:]
-        half = {}
+        models = {}
         for c in cands:
-            m = corrected_inference(c)
+            m = models[c.basket, c.genus] = corrected_inference(c)
             m.numerator
-            half[c.basket, c.genus] = (sum(m.weights) - 2) // 2
         depth = {(c.basket, c.genus): cutoff for c in cands}
         for basket, genus, h in series_reads:
+            m = models[basket, genus]
             assert h > depth[basket, genus]
-            assert h in (8, 60, half[basket, genus])
+            assert h in (8, 60, (sum(m.weights) - 2) // 2) or (
+                1 not in m.weights and h <= max(m.seeded))
             depth[basket, genus] = h
         obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
         if cutoff == 60:
@@ -305,8 +367,9 @@ class TestPrefixPasses:
             assert series_reads == []
         else:
             # the 1492 first prefixes at cutoff 2; at both, the 107
-            # prefixes to 60 and the numerators past the prefixes read
-            assert len(series_reads) == {2: 2925, 16: 1080}[cutoff]
+            # prefixes to 60, the section checks and the numerators past
+            # the degrees read
+            assert len(series_reads) == {2: 3142, 16: 1149}[cutoff]
 
     def test_numerator_computes_half_its_gorenstein_degree(
         self, series_reads
@@ -325,8 +388,8 @@ class TestPrefixPasses:
             half[m.basket, m.genus] = (sum(m.weights) - 2) // 2
         for basket, genus, h in series_reads:
             assert h == half[basket, genus]
-        assert len(series_reads) == 1175
-        assert sum(h + 1 for *_, h in series_reads) == 25699
+        assert len(series_reads) == 1182
+        assert sum(h + 1 for *_, h in series_reads) == 26565
 
     def test_a_model_computes_the_same_depths_at_every_cutoff(
         self, candidates, series_reads
@@ -449,11 +512,11 @@ class TestShapeClassification:
                 assert model.codim >= 4
 
     def test_shape_counts(self, models):
-        # ROADMAP item 1 (A: seeds in degrees with sections; B:
-        # quasi-smoothness at the basket; C: typed format failures) changes
-        # these counts by design.
+        # Seeds in degrees with sections (ROADMAP item 1A) gave these
+        # counts; items 1B (quasi-smoothness at the basket) and 1C (typed
+        # format failures) change them by design.
         assert Counter(m.shape for _, m in models) == {
-            CODIM_GE4: 1391, UNKNOWN: 64, CODIM2_CI: 26, HYPERSURFACE: 8,
+            CODIM_GE4: 1454, UNKNOWN: 1, CODIM2_CI: 26, HYPERSURFACE: 8,
             CODIM3_PFAFFIAN: 3,
         }
 
@@ -478,26 +541,13 @@ class TestCertification:
         self, models
     ):
         """A model m is the series itself once the two agree through
-        d(m) = sum(w) + sum of the distinct r + 3.
-
-        K_X = -2A, so nA - K_X = (n + 2)A is ample for n >= -1 and
-        Kawamata-Viehweg vanishing gives h^0(nA) = chi(nA) for n >= 0.
-        By Riemann-Roch, chi(nA) is a cubic in n plus, for each point, a
-        term periodic in n mod r.  So the series is
-        P_X = Q / ((1 - t)^4 prod_{distinct r} (1 - t^r)) with
-        deg Q <= 3 + sum_{distinct r} r.  The model's numerator N has
-        degree sum(w) - 2, so both sides of
-        N (1 - t)^4 prod (1 - t^r) = Q prod_w (1 - t^w)
-        are polynomials of degree at most d(m).  They are the series
-        N / prod_w (1 - t^w) and P_X, each times the one polynomial
-        (1 - t)^4 prod (1 - t^r) prod_w (1 - t^w), so their coefficients
-        through d(m) are fixed by the two series through d(m): if the
-        series agree that far, the polynomials are equal and
-        N / prod_w (1 - t^w) = P_X in every degree.
-        """
+        d(m) = certificate_degree(basket, weights), whose docstring gives
+        the Kawamata-Viehweg and Riemann-Roch argument; its numerator has
+        the degree sum(w) - 2 that the argument asks for."""
         bounds = {}
         for c, m in models:
-            d = sum(m.weights) + sum({s.r for s in c.basket}) + 3
+            d = certificate_degree(c.basket, m.weights)
+            assert d == sum(m.weights) + sum({s.r for s in c.basket}) + 3
             assert poly_degree(m.numerator) == sum(m.weights) - 2
             form = RationalForm(m.numerator, m.weights)
             assert expand(form, d) == hilbert_series(c.basket, c.genus, d), (

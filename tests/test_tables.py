@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from fano2.graded_rings import pfaffian_numerator
+from fano2.graded_rings import corrected_inference, pfaffian_numerator
 from fano2.riemann_roch import hilbert_series
 from fano2.series import DEFAULT_CUTOFF, RationalForm, degree_from_form
 from fano2.tables import (
@@ -122,6 +122,27 @@ class TestVerification:
         report = verify_table_entry(bad)
         assert not report.ok
         assert "acz12" in report.failed_checks()
+
+
+class TestTablesAsOutput:
+    def test_codim_1_and_2_models_are_tables_1_and_2(self, candidates, entries):
+        # Both directions, as sets of (basket, genus, sorted weights) over
+        # the 1319 candidates with no K3 obstruction: every table 1 or 2
+        # row is a model of its codimension, and every model of codim 1
+        # or 2 is a row.  Codim 3 and 4 have models that are not rows and
+        # are not gated here.
+        models = {}
+        for c in candidates:
+            if not c.k3_obstructed:
+                m = corrected_inference(c)
+                models.setdefault(m.codim, set()).add(
+                    (c.basket, c.genus, m.weights))
+        assert sum(map(len, models.values())) == 1319
+        for codim in (1, 2):
+            rows = {(e.basket, entry_genus(e), tuple(sorted(e.weights)))
+                    for e in entries if e.table_id == codim}
+            assert models[codim] == rows, codim
+        assert (len(models[1]), len(models[2])) == (8, 26)
 
 
 def degree_by_finite_differences(entry):
