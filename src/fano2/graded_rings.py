@@ -20,9 +20,8 @@ with the seeds it would read the same below the lowest gap g0, then
 -(seeds at g0) < 0.
 
 The pass stops at its first relation, so it reads only a prefix of the
-series: to degree FIRST_PREFIX, then to DEFAULT_CUTOFF, doubling from
-there while it runs out, with its product extended to each longer
-prefix.  :func:`_prefixes` alone sets that schedule.  The prefixes end:
+series, with its product extended to each longer prefix; :func:`_prefixes`
+alone sets that schedule.  The prefixes end:
 with no relation the series would be 1/prod(1 - t^w), which by
 Gorenstein symmetry forces sum(w) = 2 with four weights, and with five
 or more outgrows the cubic growth of h^0(nA).  The pass reads through
@@ -50,7 +49,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .basket import Basket
 from .classify import Candidate
 from .series import (
-    DEFAULT_CUTOFF,
     IntPoly,
     Series,
     _mul_one_minus_tw,
@@ -243,25 +241,25 @@ def _required_residues(r: int, a: int) -> tuple[int, ...]:
     return tuple(sorted({0, a % r, (r - a) % r, 2 % r}))
 
 
-#: Degree of the first prefix a greedy pass reads; the next one reads to
-#: DEFAULT_CUTOFF.  Most enumerated candidates meet their first relation
-#: within the first prefix, and every one within the second.
+#: Degree of the first prefix a greedy pass reads.  Most enumerated
+#: candidates meet their first relation within it.
 FIRST_PREFIX = 8
 
 
 def _prefixes(c: Candidate) -> Iterator[Series]:
-    """Prefixes of the candidate's series: to FIRST_PREFIX, and after a
-    prefix to h, to max(2h, DEFAULT_CUTOFF): 8, 60, 120, ...
+    """Prefixes of the candidate's series to 8, 16, 32, ...: the first to
+    FIRST_PREFIX, and each next one to twice the last.
 
-    This is the only schedule of the greedy pass's reads.
+    This is the only schedule of the greedy pass's reads, so a pass whose
+    first relation lies past FIRST_PREFIX reads less than twice as deep.
     :meth:`~fano2.classify.Candidate.read` computes each prefix that lies
     past the series held to exactly its degree, so a candidate already
-    read to DEFAULT_CUTOFF or deeper, as ``inspect`` reads it, is computed
-    again only when its first relation lies deeper.  No cutoff is read."""
+    read deeper, as ``inspect`` reads it to its cutoff, is computed again
+    only when its first relation lies deeper.  No cutoff is read."""
     h = FIRST_PREFIX
     while True:
         yield c.read(h)
-        h = max(2 * h, DEFAULT_CUTOFF)
+        h *= 2
 
 
 def corrected_inference(c: Candidate) -> GradedModel:
@@ -276,9 +274,8 @@ def corrected_inference(c: Candidate) -> GradedModel:
     The pass and the model's numerator, built on its first read, read the
     series through :meth:`~fano2.classify.Candidate.read`, which computes
     exactly the degree asked past the deepest degree computed so far.
-    The pass reads prefixes to FIRST_PREFIX and then to DEFAULT_CUTOFF
-    (see :func:`_prefixes`), so on a candidate nobody has read it computes
-    the series to 8, and to 60 only when its first relation lies past 8;
+    The pass reads the prefixes of :func:`_prefixes`, so on a candidate
+    nobody has read it computes the series to each prefix it reaches;
     with no weight 1, a seed reads h^0 at its degree, past those prefixes
     only when the degree lies past them (see :func:`polarization_gaps`);
     the numerator reads to half the Gorenstein degree, and computes the

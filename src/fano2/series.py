@@ -28,10 +28,9 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .basket import Basket
 
-#: Default truncation degree for series work: the cutoff that is printed
-#: unless another is asked for, and the least degree a reference table
-#: row is compared through.  Graded models read the series as deep as
-#: they need, whatever the cutoff.
+#: The cutoff that is printed unless another is asked for, and nothing
+#: more: graded models and reference table rows read the series as deep
+#: as they need, whatever the cutoff.
 DEFAULT_CUTOFF = 60
 
 IntPoly = tuple[int, ...]

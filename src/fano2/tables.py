@@ -12,10 +12,9 @@ For every entry, :func:`verify_table_entry` re-derives everything from
 the basket alone and compares: the series against the closed form of the
 row's numerator, the degree of that form, A c2 / 12, the ambient weights
 recovered by generator inference, and the Gorenstein symmetry of the
-numerator.  Each row's series is compared through the larger of the
-default degree 60 and the row's proven degree
-(:func:`~fano2.series.certificate_degree`), through which agreement
-makes the row's closed form the series itself; the deepest is 73.
+numerator.  Each row's series is compared through the row's proven
+degree (:func:`~fano2.series.certificate_degree`), through which
+agreement makes the row's closed form the series itself.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .classify import Candidate
 from .graded_rings import FORMATS, corrected_inference
 from .riemann_roch import acz12_from_basket, base_degree
 from .series import (
-    DEFAULT_CUTOFF,
     IntPoly,
     RationalForm,
     certificate_degree,
@@ -143,15 +141,15 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
     The numerator is the tabulated one in tables 1-3 and, in table 4, the
     Gorenstein numerator read off the series over the row's weights.  It
     passes ``series`` when its degree is at most sum(weights) - 2 and its
-    closed form expands to the series through the larger of
-    DEFAULT_CUTOFF and the proven degree, which makes it the series
-    itself (and it matches a tabulated prefix).  ``degree`` and ``palindromy`` need the same, so a wrong row
-    fails them rather than raising; ``palindromy`` asks for the Gorenstein
-    symmetry about sum(weights) - 2 with sign (-1)^codim.
+    closed form expands to the series through the proven degree, which
+    makes it the series itself (and it matches a tabulated prefix).
+    ``degree`` and ``palindromy`` need the same, so a wrong row fails them
+    rather than raising; ``palindromy`` asks for the Gorenstein symmetry
+    about sum(weights) - 2 with sign (-1)^codim.
     """
     report = CheckReport(entry=entry)
-    c = Candidate(entry.basket, entry_genus(entry), DEFAULT_CUTOFF)
-    cut = max(DEFAULT_CUTOFF, certificate_degree(entry.basket, entry.weights))
+    c = Candidate(entry.basket, entry_genus(entry))
+    cut = certificate_degree(entry.basket, entry.weights)
     series = c.read(cut)
 
     numerator = model_numerator(entry)

@@ -423,14 +423,14 @@ class TestSeriesReads:
         self, capsys, series_reads
     ):
         # A greedy pass stops at its first relation, so it computes the
-        # series to FIRST_PREFIX and, when that prefix runs out, to the
-        # default cutoff 60, which holds it for every candidate.  A model
-        # with no weight 1 (h^0(A) = 0) then reads h^0(dA) at seed degrees
-        # past those prefixes, no deeper than its deepest seed.  A
-        # K3-obstructed candidate computes none.
+        # series to FIRST_PREFIX and, while a prefix runs out, to twice
+        # that prefix, until one holds the relation.  A model with no
+        # weight 1 (h^0(A) = 0) then reads h^0(dA) at seed degrees past
+        # those prefixes, no deeper than its deepest seed.  A K3-obstructed
+        # candidate computes none.
         run(capsys, "histogram", "--by", "codim")
-        assert len(series_reads) == 1493
-        assert sum(h + 1 for *_, h in series_reads) == 17574
+        assert len(series_reads) == 1504
+        assert sum(h + 1 for *_, h in series_reads) == 14714
         depths = {}
         for basket, genus, h in series_reads:
             depths.setdefault((basket, genus), []).append(h)
@@ -441,15 +441,18 @@ class TestSeriesReads:
             _, numerator = infer_generators(
                 riemann_roch.hilbert_series(basket, genus, 200))
             stop = next(d for d, k in enumerate(numerator) if k < 0)
-            passes = 1 if stop <= FIRST_PREFIX else 2
-            assert hs[:passes] == [FIRST_PREFIX, 60][:passes]
+            prefixes = [FIRST_PREFIX]
+            while prefixes[-1] < stop:
+                prefixes.append(2 * prefixes[-1])
+            passes = len(prefixes)
+            assert hs[:passes] == prefixes
             if hs[passes:]:
                 model = corrected_inference(Candidate(basket, genus))
                 assert 1 not in model.weights
                 assert hs[passes - 1:] == sorted(set(hs[passes - 1:]))
                 assert hs[-1] <= max(model.seeded)
                 checked += 1
-        assert checked == 97
+        assert checked == 100
 
     def test_k3_obstructions_reads_no_series(self, capsys, series_reads):
         run(capsys, "k3-obstructions")
@@ -468,41 +471,60 @@ class TestSeriesReads:
         assert len(series_reads) == (1413 if "--stable" in argv else 1492)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("basket, genus", [("3/1", 2), ("3/1,5/1,11/3", -2)])
+    @pytest.mark.parametrize("basket, genus", [("3/1", 2)])
     def test_inspect_within_its_cutoff_reads_once(
         self, capsys, series_reads, fmt, basket, genus
     ):
-        # half the Gorenstein degree (4 and 19) is within the cutoff,
-        # and X38's first relation at 38 too
+        # half the Gorenstein degree (4) and the greedy prefix to 8 that
+        # holds the first relation are within the cutoff
         code, _, _ = run(capsys, "inspect", "--basket", basket, "--genus",
                          str(genus), "--format", fmt)
         assert code == 0
         assert [h for *_, h in series_reads] == [60]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_inspect_reads_a_greedy_prefix_past_its_cutoff(
+        self, capsys, series_reads, fmt
+    ):
+        # X38's first relation at 38 lies within the cutoff 60, but the
+        # prefix holding it goes to 64, which the pass computes once;
+        # half the Gorenstein degree (19) reads nothing more
+        code, _, _ = run(capsys, "inspect", "--basket", "3/1,5/1,11/3",
+                         "--genus", "-2", "--format", fmt)
+        assert code == 0
+        assert [h for *_, h in series_reads] == [60, 64]
+
     @pytest.mark.parametrize(
         "basket, genus, depths",
-        [("3/1", 2, [2, 8]), ("3/1,5/1,11/3", -2, [2, 8, 60])])
+        [("3/1", 2, [2, 8]), ("3/1,5/1,11/3", -2, [2, 8, 16, 32, 64])])
     def test_inspect_past_its_cutoff_reads_the_prefixes(
         self, capsys, series_reads, basket, genus, depths
     ):
         # the record reads the series to the cutoff 2; past it the model
         # computes each greedy prefix exactly, 8 and for X38, whose first
-        # relation lies at 38, 60, and its numerator (to 4 and 19) no more
+        # relation lies at 38, 16, 32 and 64, and its numerator (to 4 and
+        # 19) no more
         code, _, _ = run(capsys, "inspect", "--basket", basket, "--genus",
                          str(genus), "--cutoff", "2")
         assert code == 0
         assert [h for *_, h in series_reads] == depths
 
-    def test_verify_tables_reads_each_row_once(self, capsys, series_reads):
-        # every row is compared through the larger of 60 and its proven
-        # degree, and its model reads within that
+    def test_verify_tables_reads_each_row_to_its_proven_degree(
+        self, capsys, series_reads
+    ):
+        # every row is compared through exactly its proven degree, and its
+        # model reads within that, but for two rows whose first relation
+        # (18 and 38) lies in a greedy prefix (to 32 and 64) past it
         code, _, _ = run(capsys, "verify-tables")
         assert code == 1
+        past = {"X18 in P(1,2,3,5,9)": [32], "X38 in P(2,3,5,11,19)": [64]}
+        proven = [certificate_degree(e.basket, e.weights)
+                  for e in load_table_entries()]
         assert [h for *_, h in series_reads] == [
-            max(60, certificate_degree(e.basket, e.weights))
-            for e in load_table_entries()]
-        assert Counter(h > 60 for *_, h in series_reads) == {
-            False: 61, True: 10}
+            h for e, d in zip(load_table_entries(), proven)
+            for h in [d] + past.get(e.label, [])]
+        assert Counter(d > 60 for d in proven) == {False: 61, True: 10}
+        assert max(proven) == 73
 
 
 class TestK3Obstructions:

@@ -274,33 +274,34 @@ class TestPrefixPasses:
         self, monkeypatch, series_reads
     ):
         # X38 in P(2,3,5,11,19) meets its first relation at degree 38: on
-        # a candidate nobody has read, the prefix to 8 runs out, the next
-        # one goes to the default cutoff 60 and holds it, and each is
-        # computed once; the numerator, to half of 38, reads the series
-        # held.
+        # a candidate nobody has read, the prefixes to 8, 16 and 32 run
+        # out, the next one, to 64, holds it, and each is computed once;
+        # the numerator, to half of 38, reads the series held.
         lengths = self.prefix_lengths(monkeypatch)
         model = corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
         assert model.numerator == (1,) + (0,) * 37 + (-1,)
-        assert lengths == [9, 61]
-        assert [h for *_, h in series_reads] == [8, 60]
+        assert lengths == [9, 17, 33, 65]
+        assert [h for *_, h in series_reads] == [8, 16, 32, 64]
         assert model.weights == (2, 3, 5, 11, 19)
 
     @pytest.mark.parametrize(
         "cutoff, first_read, depths",
-        [(60, True, [60]), (2, False, [8, 60]), (2, True, [2, 8, 60])])
-    def test_doubling_stops_first_at_the_default_cutoff(
+        [(60, True, [60, 64]), (2, False, [8, 16, 32, 64]),
+         (2, True, [2, 8, 16, 32, 64])])
+    def test_doubling_computes_only_prefixes_past_the_series_held(
         self, monkeypatch, series_reads, cutoff, first_read, depths
     ):
-        # read to its cutoff 60 first, as `inspect` reads it, X38 computes
-        # no series past it; otherwise it computes each prefix past the
-        # series held exactly, 8 and then the default cutoff, which then
-        # serves the numerator.  The cutoff itself is never read.
+        # read to its cutoff 60 first, as `inspect` reads it, X38 slices
+        # the prefixes to 8, 16 and 32 from it and computes only the one
+        # to 64; otherwise it computes each prefix past the series held
+        # exactly, and the last then serves the numerator.  The cutoff
+        # itself is never read.
         c = Candidate(parse_basket("3/1,5/1,11/3"), -2, cutoff)
         if first_read:
             c.series
         lengths = self.prefix_lengths(monkeypatch)
         corrected_inference(c).numerator
-        assert lengths == [9, 61]
+        assert lengths == [9, 17, 33, 65]
         assert [h for *_, h in series_reads] == depths
 
     def test_longer_prefix_extends_the_product(self, monkeypatch):
@@ -314,7 +315,9 @@ class TestPrefixPasses:
 
         monkeypatch.setattr(graded_rings, "series_times_weights", recording)
         corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
-        assert products == [(9, ()), (61, (2, 3, 5))]
+        assert products == [
+            (9, ()), (17, (2, 3, 5)), (33, (2, 3, 5, 11)),
+            (65, (2, 3, 5, 11, 19))]
 
     @pytest.mark.parametrize("cutoff", [2, 60, 200])
     def test_one_greedy_pass_per_model(self, cutoff, monkeypatch):
@@ -337,12 +340,12 @@ class TestPrefixPasses:
         # Each candidate's series is read to the cutoff first, as records
         # and `inspect` read it.  Its model then computes the series again
         # only past the degree held, each time deeper, and each time to a
-        # prefix of the pass (8 or 60), to the numerator's half Gorenstein
-        # degree exactly, or, in a model with no weight 1, to a seed
-        # degree whose sections it checks, no deeper than its deepest
-        # seed.  At the default cutoff only the 13 numerators whose half
-        # Gorenstein degree lies past 60 do, all of K3-obstructed
-        # candidates.
+        # prefix of the pass (8, 16, 32, ...), to the numerator's half
+        # Gorenstein degree exactly, or, in a model with no weight 1, to a
+        # seed degree whose sections it checks, no deeper than its deepest
+        # seed.  At the default cutoff only X38's prefix to 64 and the 13
+        # numerators whose half Gorenstein degree lies past 60 do, the
+        # numerators all of K3-obstructed candidates.
         cands = enumerate_candidates(cutoff)
         for c in cands:
             c.series
@@ -356,20 +359,22 @@ class TestPrefixPasses:
         for basket, genus, h in series_reads:
             m = models[basket, genus]
             assert h > depth[basket, genus]
-            assert h in (8, 60, (sum(m.weights) - 2) // 2) or (
+            assert h in (8, 16, 32, 64, (sum(m.weights) - 2) // 2) or (
                 1 not in m.weights and h <= max(m.seeded))
             depth[basket, genus] = h
         obstructed = {(c.basket, c.genus) for c in cands if c.k3_obstructed}
         if cutoff == 60:
-            assert len(series_reads) == 13
+            x38 = (parse_basket("3/1,5/1,11/3"), -2, 64)
+            assert len(series_reads) == 14 and x38 in series_reads
+            series_reads.remove(x38)
             assert {(b, g) for b, g, _ in series_reads} <= obstructed
         elif cutoff == 200:
             assert series_reads == []
         else:
-            # the 1492 first prefixes at cutoff 2; at both, the 107
-            # prefixes to 60, the section checks and the numerators past
-            # the degrees read
-            assert len(series_reads) == {2: 3142, 16: 1149}[cutoff]
+            # the 1492 first prefixes at cutoff 2; at both, the longer
+            # prefixes, the section checks and the numerators past the
+            # degrees read
+            assert len(series_reads) == {2: 3228, 16: 1128}[cutoff]
 
     def test_numerator_computes_half_its_gorenstein_degree(
         self, series_reads
@@ -388,8 +393,8 @@ class TestPrefixPasses:
             half[m.basket, m.genus] = (sum(m.weights) - 2) // 2
         for basket, genus, h in series_reads:
             assert h == half[basket, genus]
-        assert len(series_reads) == 1182
-        assert sum(h + 1 for *_, h in series_reads) == 26565
+        assert len(series_reads) == 1235
+        assert sum(h + 1 for *_, h in series_reads) == 28348
 
     def test_a_model_computes_the_same_depths_at_every_cutoff(
         self, candidates, series_reads

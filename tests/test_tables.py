@@ -7,7 +7,7 @@ import pytest
 
 from fano2.graded_rings import corrected_inference, pfaffian_numerator
 from fano2.riemann_roch import hilbert_series
-from fano2.series import DEFAULT_CUTOFF, RationalForm, degree_from_form
+from fano2.series import RationalForm, certificate_degree, degree_from_form
 from fano2.tables import (
     FixtureIntegrityError,
     entry_genus,
@@ -86,10 +86,17 @@ class TestVerification:
             report = reports[label]
             assert report.failed_checks() == ["weights"]
 
-    def test_deepest_row_verifies_at_the_default_cutoff(self, entries):
+    def test_deepest_row_verifies_through_its_proven_degree(
+        self, entries, series_reads
+    ):
+        # the row with the deepest proven degree reads its series exactly
+        # that far, once, and its model reads within it
         deep = next(e for e in entries if e.label == "X in P(2,2,3,5,5,7,12,17)")
-        assert sum(deep.weights) - 2 == 51 < DEFAULT_CUTOFF
+        proven = certificate_degree(deep.basket, deep.weights)
+        assert proven == 73 == max(
+            certificate_degree(e.basket, e.weights) for e in entries)
         assert verify_table_entry(deep).ok
+        assert [h for *_, h in series_reads] == [73]
 
     def test_wrong_table_4_weights_fail_without_raising(self, entries):
         # Bumping the last weight breaks the row; a few bumped rows still
