@@ -53,10 +53,8 @@ from .series import (
     Series,
     _mul_one_minus_tw,
     numerator_wrt_weights,
-    one_minus_t,
     poly,
     poly_degree,
-    poly_mul,
     series_times_weights,
 )
 
@@ -306,10 +304,7 @@ def corrected_inference(c: Candidate) -> GradedModel:
 
 def ci_numerator(degrees: Sequence[int]) -> IntPoly:
     """prod (1 - t^d): the numerator of a complete intersection."""
-    num: IntPoly = (1,)
-    for d in degrees:
-        num = poly_mul(num, one_minus_t(d))
-    return num
+    return poly(series_times_weights((1,) + (0,) * sum(degrees), degrees))
 
 
 def pfaffian_numerator(degrees: Sequence[int]) -> IntPoly:

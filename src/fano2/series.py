@@ -23,6 +23,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
@@ -68,40 +69,6 @@ def poly_degree(p: Sequence[int]) -> int:
         if p[k] != 0:
             return k
     return -1
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return poly(out)
-
-
-def one_minus_t(w: int) -> IntPoly:
-    """The polynomial 1 - t^w."""
-    if w < 1:
-        raise ValueError(f"weight must be positive, got {w}")
-    return (1,) + (0,) * (w - 1) + (-1,)
-
-
-def poly_div_one_minus_t(p: Sequence[int]) -> IntPoly:
-    """Exact quotient p / (1 - t); requires p(1) = 0.
-
-    If p = (1 - t) q then q's coefficients are the partial sums of p's.
-    """
-    if sum(p) != 0:
-        raise ValueError("polynomial is not divisible by 1 - t")
-    out = []
-    acc = 0
-    for c in p[:-1]:
-        acc += c
-        out.append(acc)
-    return poly(out)
 
 
 def poly_str(p: Sequence[int]) -> str:
@@ -291,7 +258,7 @@ def degree_from_form(form: RationalForm) -> Fraction:
     num = poly(form.numerator)
     vanishing = 0
     while num and sum(num) == 0:
-        num = poly_div_one_minus_t(num)
+        num = poly(accumulate(num))  # num / (1 - t): its partial sums
         vanishing += 1
     pole = len(form.denom_weights) - vanishing
     if pole != 4:
