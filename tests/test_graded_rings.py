@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 from functools import partial
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -579,6 +581,97 @@ class TestCertification:
                 form = RationalForm(m.numerator, m.weights)
                 assert expand(form, cut) == hilbert_series(basket, g, cut), (
                     basket, g)
+
+
+def representable(target, weights):
+    """Whether target is a sum of the weights, each used any number of
+    times: the degree of some monomial in variables of those weights."""
+    reach = [True] + [False] * target
+    for k in range(1, target + 1):
+        reach[k] = any(w <= k and reach[k - w] for w in weights)
+    return reach[target]
+
+
+def quasi_smooth(weights, d):
+    """Iano-Fletcher (2000), Thm 8.1: the general X_d in P(weights) is
+    quasi-smooth iff some variable has degree d, or for every nonempty
+    set I of variables either (a) some monomial in x_I has degree d, or
+    (b) there are |I| distinct variables x_e with a monomial x_I^M x_e
+    of degree d."""
+    if d in weights:
+        return True
+    n = len(weights)
+    for k in range(1, n + 1):
+        for subset in combinations(range(n), k):
+            w_i = [weights[i] for i in subset]
+            if representable(d, w_i):
+                continue
+            es = [e for e in range(n)
+                  if weights[e] < d and representable(d - weights[e], w_i)]
+            if len(es) < k:
+                return False
+    return True
+
+
+def hypersurface_points(weights, d):
+    """The quotient points of a quasi-smooth X_d in P(weights), as
+    (r, sorted local weights mod r), read off the coordinate strata.
+
+    A vertex P_i with a_i not dividing d lies on X; quasi-smoothness gives
+    a monomial x_i^m x_e of degree d, so x_e is eliminated and P_i is
+    1/a_i of the three weights left.  An edge with h = gcd(a_i, a_j) > 1
+    meets X, off its vertices, in one point fewer than the monomials of
+    degree d in x_i and x_j: the roots of a general binary form, each
+    1/h of the three other weights.  Every three weights are coprime, so
+    these are all the points, and each is isolated."""
+    n = len(weights)
+    for triple in combinations(weights, 3):
+        assert gcd(*triple) == 1, (weights, triple)
+    points = []
+    for i, r in enumerate(weights):
+        if r > 1 and d % r:
+            others = [weights[j] for j in range(n) if j != i]
+            e = next(k for k, w in enumerate(others)
+                     if w < d and (d - w) % r == 0)
+            points.append((r, tuple(sorted(
+                w % r for k, w in enumerate(others) if k != e))))
+    for i, j in combinations(range(n), 2):
+        h = gcd(weights[i], weights[j])
+        if h > 1:
+            monomials = sum(1 for m in range(d // weights[i] + 1)
+                            if (d - m * weights[i]) % weights[j] == 0)
+            assert monomials > 0, (weights, i, j)  # else X holds the edge
+            rest = tuple(sorted(weights[k] % h for k in range(n)
+                                if k not in (i, j)))
+            points += [(h, rest)] * (monomials - 1)
+    return Counter(points)
+
+
+class TestHypersurfaceModels:
+    def test_every_hypersurface_model_realises_its_candidate(self, models):
+        """Each codim-1 model of a candidate with no K3 obstruction is a
+        hypersurface X_d of index 2, well-formed and quasi-smooth
+        (Iano-Fletcher 2000, Thm 6.10 and Thm 8.1), and the quotient
+        points it has on the coordinate strata are the candidate's
+        basket, each 1/r(a, r - a, 2)."""
+        found = 0
+        for c, m in models:
+            if c.k3_obstructed or m.codim != 1:
+                continue
+            found += 1
+            a, d = m.weights, len(m.numerator) - 1
+            assert m.shape == HYPERSURFACE
+            assert m.numerator == ci_numerator((d,)), m
+            assert sum(a) - d == 2, m
+            for subset in combinations(a, 4):
+                assert gcd(*subset) == 1, m
+            for subset in combinations(a, 3):
+                assert d % gcd(*subset) == 0, m
+            assert quasi_smooth(a, d), m
+            basket = Counter(
+                (s.r, tuple(sorted((s.a, s.r - s.a, 2)))) for s in c.basket)
+            assert hypersurface_points(a, d) == basket, m
+        assert found == 8
 
 
 class TestRandomCompleteIntersectionOracle:
