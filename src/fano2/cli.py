@@ -91,7 +91,7 @@ def _parsers() -> tuple[
     def common(p, run, formats=("text", "json", "csv")):
         p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF,
                        help="degree of the last series coefficient "
-                       "reported (default 60)")
+                       "reported (default %(default)s)")
         p.add_argument("--format", choices=formats, default="text")
         output(p, run)
 

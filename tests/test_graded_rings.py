@@ -565,9 +565,8 @@ class TestCertification:
         assert (deepest, bounds[deepest]) == (("3/1,5/1,7/2,9/1", -2), 206)
 
     def test_pairs_past_the_degree_cap_are_certified(self, candidates):
-        # inspect also answers for pairs past the degree cap: their greedy
-        # passes meet a relation by the default cutoff, and the numerator
-        # completed by Gorenstein symmetry is the series' own
+        # inspect also answers for pairs past the degree cap: the
+        # numerator completed by Gorenstein symmetry is the series' own
         top_genus = {}
         for c in candidates:
             top_genus[c.basket] = max(c.genus, top_genus.get(c.basket, -2))
