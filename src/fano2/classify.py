@@ -59,7 +59,37 @@ RECORD_FIELDS = (
 )
 
 
-class Candidate:
+class ReadOnlyValue:
+    """A read-only value that compares, hashes and prints by the fields
+    its class names in ``_identity``, and by no other."""
+
+    __slots__ = ()
+    _identity: tuple[str, ...]
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(
+            f"{type(self).__name__} field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._identity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._identity)
+        return f"{type(self).__name__}({fields})"
+
+
+class Candidate(ReadOnlyValue):
     """The candidate of one (basket, genus) pair, A^3 = base + genus + 2.
 
     A candidate is its identity (basket, genus, cutoff); the constructor
@@ -89,9 +119,10 @@ class Candidate:
     its identity alone, so a copy derives and checks its fields again.
     """
 
-    __slots__ = (
-        "basket", "genus", "cutoff", "scale", "a3_scaled", "acz12_scaled",
-        "status", "k3_obstructed", "_held",
+    _identity = ("basket", "genus", "cutoff")
+    __slots__ = _identity + (
+        "scale", "a3_scaled", "acz12_scaled", "status", "k3_obstructed",
+        "_held",
     )
 
     def __init__(
@@ -112,28 +143,8 @@ class Candidate:
         put(self, "k3_obstructed", basket.singular_rank >= K3_RANK_BOUND)
         put(self, "_held", ())  # set only by read
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"candidate field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.basket, self.genus, self.cutoff
-
-    def __eq__(self, other):
-        if other.__class__ is not Candidate:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __reduce__(self):
         return Candidate, self._fields()
-
-    def __repr__(self) -> str:
-        return (f"Candidate(basket={self.basket!r}, genus={self.genus!r}, "
-                f"cutoff={self.cutoff!r})")
 
     def read(self, h: int) -> Series:
         """The series to degree h, sliced from the series held.
@@ -141,8 +152,8 @@ class Candidate:
         Past the series held, one :func:`hilbert_series` call computes
         it to exactly degree h, which is then held; a read within it
         computes nothing.  How far ahead to read is the caller's choice:
-        the greedy pass schedules its prefixes itself
-        (:func:`~fano2.graded_rings._prefixes`).  The cutoff is not read.
+        :func:`~fano2.graded_rings.corrected_inference` doubles its greedy
+        prefixes itself.  The cutoff is not read.
         """
         held = self._held
         if h >= len(held):

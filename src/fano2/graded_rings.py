@@ -20,15 +20,15 @@ with the seeds it would read the same below the lowest gap g0, then
 -(seeds at g0) < 0.
 
 The pass stops at its first relation, so it reads only a prefix of the
-series, with its product extended to each longer prefix; :func:`_prefixes`
-alone sets that schedule.  The prefixes end:
-with no relation the series would be 1/prod(1 - t^w), which by
-Gorenstein symmetry forces sum(w) = 2 with four weights, and with five
-or more outgrows the cubic growth of h^0(nA).  The pass reads through
-:meth:`~fano2.classify.Candidate.read`, which computes exactly the
-degree asked past the series held, so a candidate computes no more of
-its series than the pass, the seeds' section checks and the numerator
-read.
+series: :func:`corrected_inference` runs it on the prefix to FIRST_PREFIX
+and, while a prefix has no relation, again on one twice as long.  The
+prefixes end: with no relation the series would be 1/prod(1 - t^w),
+which by Gorenstein symmetry forces sum(w) = 2 with four weights, and
+with five or more outgrows the cubic growth of h^0(nA).  The pass
+reads through :meth:`~fano2.classify.Candidate.read`, which computes
+exactly the degree asked past the series held, so a candidate computes
+no more of its series than the passes, the seeds' section checks and
+the numerator read.
 
 A model is a function of its candidate's basket and genus alone, and so
 are the degrees it reads: neither the pass nor the numerator reads the
@@ -44,14 +44,16 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .basket import Basket
-from .classify import Candidate
+from .classify import Candidate, ReadOnlyValue
 from .series import (
     IntPoly,
     Series,
     _mul_one_minus_tw,
+    codimension,
+    gorenstein_degree,
     numerator_wrt_weights,
     poly,
     poly_degree,
@@ -76,7 +78,7 @@ REFERENCE_CODIM_COUNTS = {
 }
 
 
-class GradedModel:
+class GradedModel(ReadOnlyValue):
     """Inferred ambient weights and Hilbert numerator for a candidate.
 
     The numerator is the exact polynomial series * prod (1 - t^w).  An
@@ -99,6 +101,8 @@ class GradedModel:
     three, so equal models have equal ones.
     """
 
+    _identity = ("basket", "genus", "weights", "seeded")
+
     def __init__(
         self,
         basket: Basket,
@@ -110,30 +114,10 @@ class GradedModel:
         self.__dict__.update(basket=basket, genus=genus, weights=weights,
                              seeded=seeded, read=read)
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise AttributeError(f"model field {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return self.basket, self.genus, self.weights, self.seeded
-
-    def __eq__(self, other):
-        if other.__class__ is not GradedModel:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (f"GradedModel(basket={self.basket!r}, genus={self.genus!r}, "
-                f"weights={self.weights!r}, seeded={self.seeded!r})")
-
     @cached_property
     def numerator(self) -> IntPoly:
         return numerator_wrt_weights(
-            self.read((sum(self.weights) - 2) // 2), self.weights)
+            self.read(gorenstein_degree(self.weights) // 2), self.weights)
 
     @cached_property
     def shape(self) -> str:
@@ -141,11 +125,11 @@ class GradedModel:
 
     @property
     def codim(self) -> int:
-        return len(self.weights) - 4
+        return codimension(self.weights)
 
     @property
     def numerator_complete(self) -> bool:
-        return poly_degree(self.numerator) == sum(self.weights) - 2
+        return poly_degree(self.numerator) == gorenstein_degree(self.weights)
 
     @property
     def codim_is_lower_bound(self) -> bool:
@@ -153,24 +137,21 @@ class GradedModel:
 
 
 def _greedy(
-    prefixes: Iterable[Series], seeded: Sequence[int]
+    series: Series, seeded: Sequence[int]
 ) -> tuple[tuple[int, ...], IntPoly] | None:
-    """The greedy loop over ever longer prefixes of one series: (weights,
-    numerator) at the first relation, or None when the prefixes end first.
-    Each next prefix is multiplied by the weights read so far."""
+    """The greedy loop over one series: (weights, numerator) at the first
+    relation, or None when the series ends first."""
+    if series[0] != 1:
+        raise ValueError("a Hilbert series must start with coefficient 1")
     weights = sorted(seeded)
-    d = 1
-    for series in prefixes:
-        if series[0] != 1:
-            raise ValueError("a Hilbert series must start with coefficient 1")
-        q = series_times_weights(series, weights)
-        while d < len(q):
-            if q[d] < 0:
-                return tuple(sorted(weights)), poly(q)  # first relation
-            for _ in range(q[d]):
-                _mul_one_minus_tw(q, d)
-                weights.append(d)
-            d += 1  # q[d] is zero now, lower coefficients never touched
+    q = series_times_weights(series, weights)
+    for d in range(1, len(q)):
+        if q[d] < 0:
+            return tuple(sorted(weights)), poly(q)  # first relation
+        for _ in range(q[d]):
+            _mul_one_minus_tw(q, d)
+            weights.append(d)
+        # q[d] is zero now, and lower coefficients are never touched
     return None
 
 
@@ -184,7 +165,7 @@ def infer_generators(
     relation appears by the end of the series, since generators could
     still follow.
     """
-    found = _greedy((series,), seeded)
+    found = _greedy(series, seeded)
     if found is None:
         raise ValueError(f"no relation up to the cutoff {len(series) - 1}")
     return found
@@ -240,50 +221,42 @@ def _required_residues(r: int, a: int) -> tuple[int, ...]:
 
 
 #: Degree of the first prefix a greedy pass reads.  Most enumerated
-#: candidates meet their first relation within it.
+#: candidates meet their first relation within it; the others rerun the
+#: pass on a prefix twice as long until one holds it.
 FIRST_PREFIX = 8
-
-
-def _prefixes(c: Candidate) -> Iterator[Series]:
-    """Prefixes of the candidate's series to 8, 16, 32, ...: the first to
-    FIRST_PREFIX, and each next one to twice the last.
-
-    This is the only schedule of the greedy pass's reads, so a pass whose
-    first relation lies past FIRST_PREFIX reads less than twice as deep.
-    :meth:`~fano2.classify.Candidate.read` computes each prefix that lies
-    past the series held to exactly its degree, so a candidate already
-    read deeper, as ``inspect`` reads it to its cutoff, is computed again
-    only when its first relation lies deeper.  No cutoff is read."""
-    h = FIRST_PREFIX
-    while True:
-        yield c.read(h)
-        h *= 2
 
 
 def corrected_inference(c: Candidate) -> GradedModel:
     """Generator inference with the basket's polarisation enforced.
 
-    One greedy pass reads the organic weights and the degree ``stop`` of
-    the first relation; each seeding round is arithmetic on them (see the
-    module docstring).  The gaps join the seeds; with g0 the lowest, if
-    g0 < stop the organic weights from g0 up go and ``stop`` becomes g0,
-    and otherwise the gaps close every residue and the rounds end.
+    The unseeded greedy pass reads the organic weights and the degree
+    ``stop`` of the first relation; each seeding round is arithmetic on
+    them (see the module docstring).  The gaps join the seeds; with g0
+    the lowest, if g0 < stop the organic weights from g0 up go and
+    ``stop`` becomes g0, and otherwise the gaps close every residue and
+    the rounds end.
 
-    The pass and the model's numerator, built on its first read, read the
-    series through :meth:`~fano2.classify.Candidate.read`, which computes
-    exactly the degree asked past the deepest degree computed so far.
-    The pass reads the prefixes of :func:`_prefixes`, so on a candidate
-    nobody has read it computes the series to each prefix it reaches;
-    with no weight 1, a seed reads h^0 at its degree, past those prefixes
-    only when the degree lies past them (see :func:`polarization_gaps`);
-    the numerator reads to half the Gorenstein degree, and computes the
+    The pass runs on the prefix of the series to FIRST_PREFIX and, while
+    a prefix has no relation, reruns on one twice as long (8, 16, 32,
+    ...), so a pass whose first relation lies past FIRST_PREFIX reads
+    less than twice as deep.  A rerun repeats the products the last
+    prefix made, each over the longer prefix.  The passes, and the
+    model's numerator, built on its first read, read the series through
+    :meth:`~fano2.classify.Candidate.read`, which computes exactly the
+    degree asked past the deepest degree computed so far: on a candidate
+    nobody has read, the series to each prefix the passes reach.  With
+    no weight 1, a seed reads h^0 at its degree, past those prefixes only
+    when the degree lies past them (see :func:`polarization_gaps`); the
+    numerator reads to half the Gorenstein degree, and computes the
     series only when that lies past the prefixes read.  None of this
     reads the candidate's cutoff, so the model of a candidate nobody has
     read computes the same series at every cutoff.
     """
-    found, pass_numerator = _greedy(_prefixes(c), ())  # they never end
-    organic = list(found)
-    stop = next(d for d, k in enumerate(pass_numerator) if k < 0)
+    h = FIRST_PREFIX
+    while (found := _greedy(c.read(h), ())) is None:
+        h *= 2  # the prefixes end: see the module docstring
+    organic = list(found[0])
+    stop = next(d for d, k in enumerate(found[1]) if k < 0)
     seeded: list[int] = []
     # Seeds are permanent: 4 residues per distinct type bound the rounds.
     for _ in range(4 * len(set(c.basket)) + 2):
@@ -352,7 +325,7 @@ def classify_shape(weights: Sequence[int], numerator: Sequence[int]) -> str:
     On genuine 3-fold series the pole order at t = 1 ties each format to
     its weight count.
     """
-    codim = len(weights) - 4
+    codim = codimension(weights)
     if codim >= 4:
         return CODIM_GE4
     if codim not in FORMATS:

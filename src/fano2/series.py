@@ -188,6 +188,17 @@ def series_times_weights(
     return c
 
 
+def gorenstein_degree(weights: Sequence[int]) -> int:
+    """sum(weights) - 2: the top degree of an index-2 Gorenstein numerator
+    over prod_w (1 - t^w), about which it is symmetric."""
+    return sum(weights) - 2
+
+
+def codimension(weights: Sequence[int]) -> int:
+    """len(weights) - 4: the codimension of a 3-fold in P(weights)."""
+    return len(weights) - 4
+
+
 def gorenstein_completion(
     numerator: Sequence[int], weights: Sequence[int]
 ) -> IntPoly:
@@ -199,11 +210,11 @@ def gorenstein_completion(
     (-1)^codim n_k with top = sum(w) - 2 (Altinok-Brown-Reid): its lower
     half determines it.
     """
-    top = sum(weights) - 2
+    top = gorenstein_degree(weights)
     half = top // 2
     low = list(numerator[: half + 1])
     low += [0] * (half + 1 - len(low))
-    sign = (-1) ** (len(weights) - 4)
+    sign = (-1) ** codimension(weights)
     return poly(low + [sign * low[top - k] for k in range(half + 1, top + 1)])
 
 
@@ -217,11 +228,12 @@ def numerator_wrt_weights(
     :class:`CutoffTooSmallError` when the series is shorter than that half.
     Whether the numerator reproduces the series is for the caller to check.
     """
-    half = (sum(weights) - 2) // 2
+    top = gorenstein_degree(weights)
+    half = top // 2
     if half >= len(series):
         raise CutoffTooSmallError(
             f"the series stops at degree {len(series) - 1}, below half "
-            f"the Gorenstein degree {sum(weights) - 2}"
+            f"the Gorenstein degree {top}"
         )
     return gorenstein_completion(
         series_times_weights(series[: half + 1], weights), weights

@@ -34,8 +34,10 @@ from .series import (
     IntPoly,
     RationalForm,
     certificate_degree,
+    codimension,
     degree_from_form,
     expand,
+    gorenstein_degree,
     numerator_wrt_weights,
     palindromy_sign,
     poly_degree,
@@ -121,7 +123,7 @@ def model_numerator(entry: TableEntry) -> IntPoly | None:
     formula of the row's codimension over its relation degrees."""
     if entry.relation_degrees is None:
         return None
-    _, formula, _ = FORMATS[len(entry.weights) - 4]
+    _, formula, _ = FORMATS[codimension(entry.weights)]
     return formula(entry.relation_degrees)
 
 
@@ -156,7 +158,7 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
     if numerator is None:
         numerator = numerator_wrt_weights(series, entry.weights)
     form = RationalForm(numerator, entry.weights)
-    top = sum(entry.weights) - 2
+    top = gorenstein_degree(entry.weights)
     reproduces = poly_degree(numerator) <= top and expand(form, cut) == series
     report.checks["series"] = reproduces
     if not reproduces:
@@ -169,10 +171,9 @@ def verify_table_entry(entry: TableEntry) -> CheckReport:
         report.notes.append("numerator prefix/top degree mismatch")
 
     report.checks["degree"] = reproduces and degree_from_form(form) == entry.a3
+    sign = (-1) ** codimension(entry.weights)
     report.checks["palindromy"] = (
-        reproduces
-        and palindromy_sign(numerator, top) == (-1) ** (len(entry.weights) - 4)
-    )
+        reproduces and palindromy_sign(numerator, top) == sign)
 
     report.checks["acz12"] = acz12_from_basket(entry.basket) == entry.acz12
 

@@ -3,8 +3,9 @@
 import random
 from collections import Counter
 from functools import partial
-from itertools import combinations
-from math import gcd
+from fractions import Fraction
+from itertools import combinations, islice
+from math import gcd, prod
 
 import pytest
 
@@ -15,6 +16,7 @@ from fano2.graded_rings import (
     CODIM2_CI,
     CODIM3_PFAFFIAN,
     CODIM_GE4,
+    FIRST_PREFIX,
     HYPERSURFACE,
     UNKNOWN,
     ci_numerator,
@@ -256,16 +258,13 @@ class TestPrefixPasses:
 
     @staticmethod
     def prefix_lengths(monkeypatch):
-        """The length of each prefix the greedy pass reads."""
+        """The length of each prefix a greedy pass reads."""
         lengths = []
         greedy = graded_rings._greedy
 
-        def recording(prefixes, seeded):
-            def reader():
-                for series in prefixes:
-                    lengths.append(len(series))
-                    yield series
-            return greedy(reader(), seeded)
+        def recording(series, seeded):
+            lengths.append(len(series))
+            return greedy(series, seeded)
 
         monkeypatch.setattr(graded_rings, "_greedy", recording)
         return lengths
@@ -305,35 +304,50 @@ class TestPrefixPasses:
         assert [h for *_, h in series_reads] == depths
 
     def test_longer_prefix_extends_the_product(self, monkeypatch):
-        # each longer prefix is multiplied by the weights already read,
-        # once, and the pass goes on from where the shorter one ran out
+        # a pass on a longer prefix starts again from the series alone and
+        # makes the products the shorter one made, over the longer prefix:
+        # 13,880 factors (1 - t^w) over the 1319 models of `histogram
+        # --by codim`, as when each longer prefix was multiplied by the
+        # weights read so far and the pass went on from where it ran out
         products = []
+        factors = [0]
 
         def recording(series, weights):
             products.append((len(series), tuple(weights)))
             return series_times_weights(series, weights)
 
+        def counted(c, w, _fn=graded_rings._mul_one_minus_tw):
+            factors[0] += 1
+            return _fn(c, w)
+
         monkeypatch.setattr(graded_rings, "series_times_weights", recording)
         corrected_inference(Candidate(parse_basket("3/1,5/1,11/3"), -2))
-        assert products == [
-            (9, ()), (17, (2, 3, 5)), (33, (2, 3, 5, 11)),
-            (65, (2, 3, 5, 11, 19))]
+        assert products == [(9, ()), (17, ()), (33, ()), (65, ())]
+        cands = [c for c in enumerate_candidates() if not c.k3_obstructed]
+        monkeypatch.setattr(graded_rings, "_mul_one_minus_tw", counted)
+        for c in cands:
+            corrected_inference(c)
+        assert (len(cands), factors[0]) == (1319, 13880)
 
     @pytest.mark.parametrize("cutoff", [2, 60, 200])
     def test_one_greedy_pass_per_model(self, cutoff, monkeypatch):
-        # seeding rounds are arithmetic on the one unseeded pass
+        # seeding rounds are arithmetic on the one unseeded pass of each
+        # model, run once per prefix read: 1492 passes on the first
+        # prefix and 115 reruns on a longer one
         passes = []
         greedy = graded_rings._greedy
 
-        def recording(prefixes, seeded):
-            passes.append(tuple(seeded))
-            return greedy(prefixes, seeded)
+        def recording(series, seeded):
+            passes.append((len(series), tuple(seeded)))
+            return greedy(series, seeded)
 
         cands = enumerate_candidates(cutoff)
         monkeypatch.setattr(graded_rings, "_greedy", recording)
         for c in cands:
             corrected_inference(c)
-        assert passes == [()] * 1492
+        assert all(seeded == () for _, seeded in passes)
+        assert len(passes) == 1607
+        assert [n for n, _ in passes].count(FIRST_PREFIX + 1) == 1492
 
     @pytest.mark.parametrize("cutoff", [2, 16, 60, 200])
     def test_series_is_read_again_only_past_its_end(self, cutoff, series_reads):
@@ -671,6 +685,86 @@ class TestHypersurfaceModels:
                 (s.r, tuple(sorted((s.a, s.r - s.a, 2)))) for s in c.basket)
             assert hypersurface_points(a, d) == basket, m
         assert found == 8
+
+
+class TestCodim2Models:
+    def test_every_codim2_model_realises_its_candidate(self, models):
+        """Each codim-2 model of a candidate with no K3 obstruction is a
+        complete intersection X_{d1,d2} of index 2, well-formed
+        (Iano-Fletcher 2000, section 6: in P^n with c equations, every
+        n - 1 - c + mu weights have a gcd dividing at least mu of the
+        degrees), and the quotient points it has on the coordinate strata
+        are the candidate's basket.  Quasi-smoothness is not checked."""
+        found = 0
+        for c, m in models:
+            if c.k3_obstructed or m.codim != 2:
+                continue
+            found += 1
+            a = m.weights
+            degrees = tuple(islice(
+                (d for d, k in enumerate(m.numerator) for _ in range(-k)), 2))
+            assert m.shape == CODIM2_CI
+            assert m.numerator == ci_numerator(degrees), m
+            assert sum(a) - sum(degrees) == 2, m
+            n = len(a) - 1
+            for subset in combinations(a, n):
+                assert gcd(*subset) == 1, m
+            for mu in (1, 2):
+                for subset in combinations(a, n - 3 + mu):
+                    h = gcd(*subset)
+                    assert sum(d % h == 0 for d in degrees) >= mu, m
+            basket = Counter(
+                (s.r, tuple(sorted((s.a, s.r - s.a, 2)))) for s in c.basket)
+            assert strata_points(a, degrees) == basket, m
+        assert found == 26
+
+
+def strata_points(weights, degrees):
+    """The quotient points of a general complete intersection X of the
+    given degrees in P(weights), as (r, sorted local weights mod r), read
+    off the coordinate strata.
+
+    The points whose stabiliser contains mu_h lie on the stratum P(a_I),
+    I the variables of weights divisible by h.  The equations of degrees
+    prime to h vanish on it, so X meets it where the k others do; they
+    must cut it in points, k >= |I| - 1.  With k = |I| - 1, Bezout on
+    P(a_I / h) counts the points of X there, each once over its
+    stabiliser in mu_(a_I / h); the points of the smaller strata inside,
+    counted first, are taken off, and what is left are the points of
+    stabiliser mu_h.  (Two conics in P(3,3,3) meet in the 4 points of
+    4x3/1.)  At such a point the variables outside I are local
+    coordinates, and each equation of degree d prime to h eliminates one
+    of degree congruent to d mod h; the point is 1/h of the three
+    left."""
+    n = len(weights)
+    strata = {}
+    for k in range(1, n + 1):
+        for subset in combinations(weights, k):
+            h = gcd(*subset)
+            if h > 1:
+                stratum = tuple(i for i, w in enumerate(weights) if w % h == 0)
+                strata[stratum] = gcd(*(weights[i] for i in stratum))
+    exact = {}
+    points = Counter()
+    for stratum, h in sorted(strata.items(), key=lambda s: -s[1]):
+        cut = [d for d in degrees if d % h == 0]
+        assert len(cut) >= len(stratum) - 1, (weights, stratum)
+        exact[stratum] = 0
+        if len(cut) > len(stratum) - 1:
+            continue  # the general equations miss it off the smaller strata
+        count = Fraction(prod(d // h for d in cut),
+                         prod(weights[i] // h for i in stratum))
+        count -= sum(Fraction(exact[inner] * h, strata[inner])
+                     for inner in exact if set(inner) < set(stratum))
+        assert count.denominator == 1 and count >= 0, (weights, stratum)
+        exact[stratum] = int(count)
+        if count:
+            local = [w % h for i, w in enumerate(weights) if i not in stratum]
+            for d in degrees:
+                if d % h:
+                    local.remove(d % h)  # ValueError: no variable to eliminate
+            points[h, tuple(sorted(local))] += exact[stratum]
+    return points
 
 
 class TestRandomCompleteIntersectionOracle:
