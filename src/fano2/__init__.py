@@ -2,8 +2,8 @@
 series of Fano 3-folds polarised by -K = 2A.
 
 The reference tables and their verification live in :mod:`fano2.tables`,
-which is not imported here: only ``verify-tables`` needs it, and its
-fixture checksum loads ``hashlib``."""
+which is not imported here: only ``verify-tables`` needs it and its
+bundled fixture."""
 
 from .basket import (
     Basket,

@@ -29,8 +29,9 @@ command's own parser, in one argparse pass.  The top-level parser answers
 only argv that names no command, or that the command's parser does not
 fully accept, so every help text, usage line and error message is
 argparse's own.  Importing this module loads only what every command
-needs: ``verify-tables`` alone loads :mod:`fano2.tables`, with the
-fixture and the ``hashlib`` its checksum needs, on its first call.
+needs: ``verify-tables`` alone loads :mod:`fano2.tables` and its
+fixture, on its first call, and the fixture's checksum leaves out
+:mod:`hashlib` and the OpenSSL it loads.
 
 Exit codes: 0 success, 1 verification/domain failure, 2 usage or parse
 error.  Output is deterministic for a fixed invocation; rationals are
@@ -257,7 +258,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_tables(args: argparse.Namespace) -> int:
-    from .tables import verify_all  # the tables and hashlib load here only
+    from .tables import verify_all  # the tables load here only
 
     reports = verify_all(table_id=args.table)
     totals = Counter(r.entry.table_id for r in reports)
@@ -340,7 +341,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = parse_args(argv)
     if "cutoff" in args and args.cutoff < 2:
-        build_parser().error("--cutoff must be >= 2")
+        _parsers()[1][args.command].error("argument --cutoff: must be >= 2")
     try:
         return args.run(args)
     except OSError as exc:

@@ -15,16 +15,26 @@ recovered by generator inference, and the Gorenstein symmetry of the
 numerator.  Each row's series is compared through the row's proven
 degree (:func:`~fano2.series.certificate_degree`), through which
 agreement makes the row's closed form the series itself.
+
+The checksum takes ``sha256`` from CPython's built-in ``_sha256`` module
+rather than :mod:`hashlib`, which loads OpenSSL: that library made
+``verify-tables`` the largest process of any command, for a digest of
+one 10 kB file.  Where the built-in module is missing, :mod:`hashlib`
+gives the same digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
+
+try:  # as random.py takes _sha512: "hashlib is pretty heavy to load"
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .basket import Basket, parse_basket
 from .classify import Candidate
@@ -94,7 +104,7 @@ def _fixture_bytes(path: Path | None = None) -> bytes:
 def load_table_entries(path: Path | None = None) -> tuple[TableEntry, ...]:
     """Load and checksum-validate the fixture (or an explicit file)."""
     raw = _fixture_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     if digest != TABLES_SHA256:
         raise FixtureIntegrityError(
             f"tables.json checksum {digest} != pinned {TABLES_SHA256}"

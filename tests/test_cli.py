@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -631,11 +632,15 @@ class TestUsage:
          ["histogram"], ["k3-obstructions"]],
     )
     def test_small_cutoff_usage_error(self, capsys, command):
+        # reported like every other option error of the command: its own
+        # usage line, then the error under its own name
         with pytest.raises(SystemExit) as exc:
             main([*command, "--cutoff", "1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith("\nfano2: error: --cutoff must be >= 2\n")
+        assert err.startswith(f"usage: fano2 {command[0]} [-h]")
+        assert err.endswith(
+            f"\nfano2 {command[0]}: error: argument --cutoff: must be >= 2\n")
 
     def test_one_parser_serves_every_call(self, capsys):
         # The parser is built once per process; answers, usage errors and
@@ -673,12 +678,17 @@ if sys.argv[1:]:
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
-#: What only ``verify-tables`` needs: the tables and the checksum's hashlib;
-#: and what only ``--format csv`` needs.  dataclasses is not used by fano2
-#: at all.
-NOT_AT_STARTUP = {
-    "dataclasses", "hashlib", "_hashlib", "fano2.tables", "csv", "_csv",
-}
+#: What only ``verify-tables`` needs, the tables; and what only
+#: ``--format csv`` needs.
+NOT_AT_STARTUP = {"fano2.tables", "csv", "_csv"}
+
+#: What no command loads: dataclasses is not used by fano2 at all, and the
+#: fixture's checksum takes the built-in ``_sha256``, not OpenSSL's.
+NEVER_LOADED = {"dataclasses", "hashlib", "_hashlib"}
+
+#: Whether this interpreter has the built-in ``_sha256`` (CPython 3.12
+#: renamed it ``_sha2``, and there the checksum falls back to hashlib).
+HAS_SHA256 = importlib.util.find_spec("_sha256") is not None
 
 
 #: Run with ``python -c CANDIDATE_PROBE ARGV...``: runs ``main(ARGV)``, then
@@ -728,10 +738,22 @@ class TestImportBudget:
     def test_commands_leave_out_the_tables(self, argv):
         loaded = self.loaded(*argv)
         assert "fano2.cli" in loaded
-        assert not loaded & NOT_AT_STARTUP
+        assert not loaded & (NOT_AT_STARTUP | NEVER_LOADED)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("enumerate", "--format", "csv"), ("histogram", "--by", "genus"),
+         ("k3-obstructions", "--format", "json")],
+    )
+    def test_no_command_loads_openssl(self, argv):
+        loaded = self.loaded(*argv)
+        assert "fano2.cli" in loaded
+        assert not loaded & NEVER_LOADED
 
     def test_verify_tables_loads_the_tables(self):
-        assert "fano2.tables" in self.loaded("verify-tables")
+        loaded = self.loaded("verify-tables")
+        assert "fano2.tables" in loaded
+        assert not loaded & (NEVER_LOADED if HAS_SHA256 else {"dataclasses"})
 
 
 #: Run with ``python -B -c FRACTION_PROBE ARGV...``: imports fano2.cli, then

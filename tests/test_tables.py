@@ -1,10 +1,18 @@
 """The bundled reference tables: fixture integrity and verification."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
+import fano2
+from fano2 import tables
 from fano2.graded_rings import corrected_inference, pfaffian_numerator
 from fano2.riemann_roch import hilbert_series
 from fano2.series import RationalForm, certificate_degree, degree_from_form
@@ -25,6 +33,29 @@ EQUAL_DEGREE_PAIR_ROWS = {
     "X in P(1,1,1,1,1,2,2,3)",
     "X in P(1,1,1,2,2,2,3,3)",
 }
+
+#: Run with ``python -B -c DIGEST_PROBE ROUTE TAMPERED``: with ROUTE
+#: ``hashlib`` it hides the built-in ``_sha256`` before fano2 is imported,
+#: so the checksum falls back to hashlib.  It runs ``verify-tables``, then
+#: loads the fixture written to TAMPERED, and prints what it saw as JSON.
+DIGEST_PROBE = """
+import contextlib, io, json, sys
+if sys.argv[1] == "hashlib":
+    sys.modules["_sha256"] = None
+import fano2.cli
+from fano2 import tables
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = fano2.cli.main(["verify-tables"])
+try:
+    tables.load_table_entries(sys.argv[2])
+    refused = False
+except tables.FixtureIntegrityError:
+    refused = True
+print(json.dumps({"module": tables.sha256.__module__,
+                  "hashlib": "hashlib" in sys.modules, "code": code,
+                  "out": out.getvalue(), "refused": refused}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +81,37 @@ class TestFixture:
         corrupted.write_bytes(_fixture_bytes().replace(b"1/165", b"1/166"))
         with pytest.raises(FixtureIntegrityError):
             load_table_entries(corrupted)
+
+    def test_checksum_digest_is_hashlibs(self):
+        raw = tables._fixture_bytes()
+        digest = tables.sha256(raw).hexdigest()
+        assert digest == hashlib.sha256(raw).hexdigest()
+        assert digest == tables.TABLES_SHA256
+
+    def test_both_digest_routes_verify_alike(self, tmp_path):
+        # the built-in _sha256 and the hashlib fallback give one report,
+        # and both refuse a tampered fixture
+        tampered = tmp_path / "tables.json"
+        tampered.write_bytes(
+            tables._fixture_bytes().replace(b"1/165", b"1/166"))
+        env = os.environ | {
+            "PYTHONPATH": str(Path(fano2.__file__).parents[1])}
+
+        def probe(route):
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c", DIGEST_PROBE, route,
+                 str(tampered)],
+                capture_output=True, text=True, env=env, check=True)
+            return json.loads(proc.stdout)
+
+        lean, fallback = probe("sha256"), probe("hashlib")
+        assert (fallback["module"], fallback["hashlib"]) == ("_hashlib", True)
+        if lean["module"] == "_sha256":
+            assert not lean["hashlib"]
+        for seen in (lean, fallback):
+            assert seen["code"] == 1 and seen["refused"]
+            assert seen["out"].splitlines()[0].endswith(" Table4 33/35")
+        assert lean["out"] == fallback["out"]
 
     def test_normalised_high_weight_row(self, entries):
         # the index-9 point recorded with local weight 10 folds to 9/1
